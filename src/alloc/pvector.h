@@ -1,6 +1,7 @@
 #ifndef HYRISE_NV_ALLOC_PVECTOR_H_
 #define HYRISE_NV_ALLOC_PVECTOR_H_
 
+#include <atomic>
 #include <cstring>
 #include <type_traits>
 
@@ -56,7 +57,7 @@ class PVector {
 
   /// Re-attaches after restart; validates the descriptor.
   Status Validate() const {
-    const auto& slot = ActiveSlot();
+    const PVectorDesc::Slot slot = ActiveSlot();
     if (desc_->size > slot.capacity) {
       return Status::Corruption("PVector size exceeds capacity");
     }
@@ -69,32 +70,38 @@ class PVector {
     return Status::OK();
   }
 
-  uint64_t size() const { return desc_->size; }
-  bool empty() const { return desc_->size == 0; }
+  /// Committed element count. An acquire load: writers publish the size
+  /// (and the version of a grown buffer) with release stores, so a
+  /// lock-free reader that sees an element count also sees its elements.
+  uint64_t size() const {
+    return std::atomic_ref<uint64_t>(desc_->size).load(
+        std::memory_order_acquire);
+  }
+  bool empty() const { return size() == 0; }
   uint64_t capacity() const { return ActiveSlot().capacity; }
   nvm::PmemRegion* region() const { return region_; }
 
   T* data() {
-    const auto& slot = ActiveSlot();
+    const PVectorDesc::Slot slot = ActiveSlot();
     return slot.data == 0
                ? nullptr
                : reinterpret_cast<T*>(region_->base() + slot.data);
   }
   const T* data() const {
-    const auto& slot = ActiveSlot();
+    const PVectorDesc::Slot slot = ActiveSlot();
     return slot.data == 0
                ? nullptr
                : reinterpret_cast<const T*>(region_->base() + slot.data);
   }
 
   const T& Get(uint64_t index) const {
-    HYRISE_NV_DCHECK(index < desc_->size, "PVector index out of range");
+    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
     return data()[index];
   }
 
   /// Overwrites an existing element and persists it.
   void Set(uint64_t index, const T& value) {
-    HYRISE_NV_DCHECK(index < desc_->size, "PVector index out of range");
+    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
     T* slot = data() + index;
     *slot = value;
     region_->Persist(slot, sizeof(T));
@@ -102,7 +109,7 @@ class PVector {
 
   /// Overwrites without persisting (caller batches a PersistRange).
   void SetUnpersisted(uint64_t index, const T& value) {
-    HYRISE_NV_DCHECK(index < desc_->size, "PVector index out of range");
+    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
     data()[index] = value;
   }
 
@@ -173,12 +180,20 @@ class PVector {
   }
 
  private:
-  const PVectorDesc::Slot& ActiveSlot() const {
-    return desc_->slots[desc_->version & 1];
+  /// The slot fields are atomic too: growth rewrites the inactive slot,
+  /// which a reader that loaded an older version may still be reading.
+  PVectorDesc::Slot ActiveSlot() const {
+    const uint64_t version = std::atomic_ref<uint64_t>(desc_->version).load(
+        std::memory_order_acquire);
+    PVectorDesc::Slot& slot = desc_->slots[version & 1];
+    return {std::atomic_ref<uint64_t>(slot.data).load(
+                std::memory_order_relaxed),
+            std::atomic_ref<uint64_t>(slot.capacity)
+                .load(std::memory_order_relaxed)};
   }
 
   Status EnsureCapacity(uint64_t needed) {
-    const auto& active = ActiveSlot();
+    const PVectorDesc::Slot active = ActiveSlot();
     if (needed <= active.capacity) return Status::OK();
     uint64_t new_cap = active.capacity == 0 ? 16 : active.capacity * 2;
     while (new_cap < needed) new_cap *= 2;
@@ -200,8 +215,10 @@ class PVector {
     // is the single atomic commit point; it also makes the intent's block
     // reachable, after which the intent can be retired.
     auto& inactive = desc_->slots[(desc_->version + 1) & 1];
-    inactive.data = new_data;
-    inactive.capacity = new_cap;
+    std::atomic_ref<uint64_t>(inactive.data)
+        .store(new_data, std::memory_order_relaxed);
+    std::atomic_ref<uint64_t>(inactive.capacity)
+        .store(new_cap, std::memory_order_relaxed);
     region_->Persist(&inactive, sizeof(inactive));
     region_->AtomicPersist64(&desc_->version, desc_->version + 1);
     alloc_->CommitIntent(intent);

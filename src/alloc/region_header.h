@@ -34,7 +34,10 @@ struct RegionHeader {
   static constexpr uint64_t kMagic = 0x48595249534E5631ull;  // "HYRISNV1"
   // v2: the flight-recorder carve-out owns the top of the region and the
   // allocator's heap_end stops short of it (obs/blackbox.h).
-  static constexpr uint32_t kFormatVersion = 2;
+  // v3: delta dictionaries carry a persistent value→id table
+  // (PDeltaColumnMeta::dict_table) and delta hash-index entries shrink
+  // to 16 bytes.
+  static constexpr uint32_t kFormatVersion = 3;
 
   uint64_t magic;
   uint32_t format_version;

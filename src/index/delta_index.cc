@@ -2,34 +2,7 @@
 
 #include <string>
 
-#include "storage/dictionary.h"
-
 namespace hyrise_nv::index {
-
-uint64_t HashValue(const storage::Value& value, storage::DataType type) {
-  uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
-  auto mix_bytes = [&h](const void* data, size_t len) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001B3ull;  // FNV prime
-    }
-  };
-  if (type == storage::DataType::kString) {
-    const auto& s = std::get<std::string>(value);
-    mix_bytes(s.data(), s.size());
-  } else {
-    const uint64_t bits = storage::EncodeNumeric(value, type);
-    mix_bytes(&bits, sizeof(bits));
-  }
-  // splitmix64 finaliser for avalanche.
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
 
 DeltaIndex::DeltaIndex(nvm::PmemRegion* region, alloc::PAllocator* alloc,
                        storage::PIndexMeta* meta)
@@ -82,11 +55,16 @@ Status DeltaIndex::Attach() {
 }
 
 Status DeltaIndex::Insert(uint64_t hash, uint64_t row) {
+  if (entries_.size() >= kMaxDeltaIndexEntries) {
+    return Status::OutOfMemory("delta hash index holds " +
+                               std::to_string(kMaxDeltaIndexEntries) +
+                               " entries; merge the table");
+  }
   const uint64_t bucket = hash & (meta_->bucket_count - 1);
   DeltaIndexEntry entry;
-  entry.hash = hash;
   entry.row = row;
-  entry.next = buckets_.Get(bucket);
+  entry.tag = TagOf(hash);
+  entry.next = static_cast<uint32_t>(buckets_.Get(bucket));
   // Durable entry first, then the atomic bucket-head publish.
   HYRISE_NV_RETURN_NOT_OK(entries_.Append(entry));
   region_->AtomicPersist64(buckets_.data() + bucket, entries_.size());

@@ -10,17 +10,18 @@
 
 namespace hyrise_nv::index {
 
-/// Stable 64-bit hash of a value, identical across restarts (the hash is
-/// persisted inside index entries). FNV-1a with a splitmix finaliser.
-uint64_t HashValue(const storage::Value& value, storage::DataType type);
-
-/// One chain node of the persistent delta hash index.
+/// One chain node of the persistent delta hash index. Entries are keyed
+/// by storage::HashValue, which is stable across restarts.
 struct DeltaIndexEntry {
-  uint64_t hash;  // full value hash (collisions re-checked by the reader)
   uint64_t row;   // delta row number
-  uint64_t next;  // 1-based position of the next entry; 0 = end
+  uint32_t tag;   // high half of the value hash (the reader re-checks ids)
+  uint32_t next;  // 1-based position of the next entry; 0 = end
 };
-static_assert(sizeof(DeltaIndexEntry) == 24, "entry layout");
+static_assert(sizeof(DeltaIndexEntry) == 16, "entry layout");
+
+/// Most entries one delta hash index holds: `next` is 32 bits wide.
+/// Insert refuses the entry past it instead of truncating a position.
+constexpr uint64_t kMaxDeltaIndexEntries = UINT32_MAX;
 
 /// NVM-resident chaining hash index over one column of the delta
 /// partition (the multi-version index structure of DESIGN.md §4.3's delta
@@ -47,23 +48,33 @@ class DeltaIndex {
   uint64_t column() const { return meta_->column; }
   uint64_t entry_count() const { return entries_.size(); }
 
-  /// Indexes `row` under `hash`.
+  /// Indexes `row` under `hash`. OutOfMemory once the index holds
+  /// kMaxDeltaIndexEntries entries.
   Status Insert(uint64_t hash, uint64_t row);
 
-  /// Calls `fn(row)` for every entry whose hash equals `hash`. The caller
-  /// re-checks actual value equality and row visibility.
+  /// Calls `fn(row)` for every entry whose bucket and tag match `hash`.
+  /// The caller re-checks actual value equality and row visibility.
   template <typename Fn>
   void ForEachCandidate(uint64_t hash, Fn&& fn) const {
     const uint64_t bucket = hash & (meta_->bucket_count - 1);
+    const uint32_t tag = TagOf(hash);
     uint64_t pos = buckets_.Get(bucket);  // 1-based
     while (pos != 0) {
-      const DeltaIndexEntry& entry = entries_.Get(pos - 1);
-      if (entry.hash == hash) fn(entry.row);
+      // A copy, not a reference held across fn: growth frees the buffer
+      // it came from (DESIGN.md §12.1).
+      const DeltaIndexEntry entry = entries_.Get(pos - 1);
+      if (entry.tag == tag) fn(entry.row);
       pos = entry.next;
     }
   }
 
  private:
+  /// The tag stored for `hash`: its high half, which the bucket (low
+  /// bits) does not already determine.
+  static uint32_t TagOf(uint64_t hash) {
+    return static_cast<uint32_t>(hash >> 32);
+  }
+
   nvm::PmemRegion* region_ = nullptr;
   storage::PIndexMeta* meta_ = nullptr;
   alloc::PVector<uint64_t> buckets_;

@@ -91,7 +91,7 @@ Status IndexSet::CreateIndexOfKind(size_t column,
       HYRISE_NV_RETURN_NOT_OK(bound.skip_list.Insert(value, row));
     } else {
       HYRISE_NV_RETURN_NOT_OK(
-          bound.delta_hash.Insert(HashValue(value, type), row));
+          bound.delta_hash.Insert(storage::HashValue(value, type), row));
     }
   }
   return Status::OK();
@@ -107,7 +107,7 @@ Status IndexSet::OnInsert(const std::vector<storage::Value>& row,
           bound.skip_list.Insert(row[bound.column], delta_row));
     } else {
       HYRISE_NV_RETURN_NOT_OK(bound.delta_hash.Insert(
-          HashValue(row[bound.column], type), delta_row));
+          storage::HashValue(row[bound.column], type), delta_row));
     }
   }
   return Status::OK();

@@ -66,16 +66,19 @@ class IndexSet {
       });
       return Status::OK();
     }
+    // One hash serves both the dictionary probe and the bucket chain. A
+    // value the delta dictionary lacks has no delta rows.
     const storage::DataType type = table_->schema().column(column).type;
+    const uint64_t hash = storage::HashValue(value, type);
     const auto& delta_col = table_->delta().column(column);
-    const storage::ValueId delta_id = delta_col.dictionary().Lookup(value);
-    bound->delta_hash.ForEachCandidate(
-        HashValue(value, type), [&](uint64_t row) {
-          if (delta_id != storage::kInvalidValueId &&
-              delta_col.AttrAt(row) == delta_id) {
-            fn(storage::RowLocation{false, row});
-          }
-        });
+    const storage::ValueId delta_id =
+        delta_col.dictionary().Lookup(value, hash);
+    if (delta_id == storage::kInvalidValueId) return Status::OK();
+    bound->delta_hash.ForEachCandidate(hash, [&](uint64_t row) {
+      if (delta_col.AttrAt(row) == delta_id) {
+        fn(storage::RowLocation{false, row});
+      }
+    });
     return Status::OK();
   }
 

@@ -30,8 +30,8 @@ Result<NvmRestartResult> FinishRestart(NvmRestartResult result,
   tracer.End();
   result.report.fixup_seconds = tracer.End();
 
-  // Phase 3: volatile repair (torn inserts; dictionary dedup maps were
-  // rebuilt during catalog attach).
+  // Phase 3: repair (torn inserts, plus the at most one dictionary id per
+  // delta column whose table slot a crash cut off).
   tracer.Begin("attach");
   tracer.Begin("repair_torn_inserts");
   HYRISE_NV_RETURN_NOT_OK(result.catalog->RepairAfterCrash());

@@ -65,8 +65,9 @@ struct NvmRestartOptions {
 ///  2. recover allocator intents and roll in-flight commits forward
 ///     (proportional to in-flight work at crash time, not to data);
 ///  3. attach the catalog — rebinds table handles, repairs torn inserts,
-///     rebuilds the delta dictionaries' volatile dedup maps
-///     (proportional to the delta, which merge keeps small).
+///     and re-inserts the at most one delta dictionary id per column
+///     whose table slot a crash cut off (constant work: the value→id
+///     tables are persistent).
 Result<NvmRestartResult> InstantRestart(
     const nvm::PmemRegionOptions& options);
 

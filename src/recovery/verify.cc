@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "alloc/pallocator.h"
 #include "alloc/pvector.h"
@@ -505,6 +506,65 @@ void VerifyMainColumn(Ctx& ctx, const PMainColumnMeta& col, DataType type,
   }
 }
 
+/// The delta dictionary's value→id table: inside the heap, a power-of-two
+/// slot count with room for every id, and each id in exactly one slot.
+/// Only the last id may be missing — a crash can cut off its slot store,
+/// and open re-inserts it (storage/dictionary.h).
+void VerifyDictTable(Ctx& ctx, const PDeltaColumnMeta& col,
+                     const std::string& where) {
+  const auto& region = *ctx.region;
+  ++ctx.report->structures_checked;
+  const uint64_t dict_size = col.dict_values.size;
+  if (col.dict_table == 0) {
+    if (dict_size > 0) {
+      AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+                 where + ": value→id table missing for " +
+                     std::to_string(dict_size) + " ids");
+    }
+    return;
+  }
+  const auto* table = At<storage::PDictTable>(region, col.dict_table, 1);
+  if (table == nullptr || col.dict_table < alloc::PAllocator::HeapBegin()) {
+    AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+               where + ": value→id table at " +
+                   std::to_string(col.dict_table) + " outside the heap");
+    return;
+  }
+  const uint64_t slot_count = table->slot_count;
+  if (slot_count == 0 || (slot_count & (slot_count - 1)) != 0 ||
+      slot_count <= dict_size + storage::kDictTableHeaderSlots ||
+      At<uint32_t>(region, col.dict_table, slot_count) == nullptr) {
+    AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+               where + ": value→id table has " + std::to_string(slot_count) +
+                   " slots for " + std::to_string(dict_size) + " ids");
+    return;
+  }
+  const auto* slots = At<uint32_t>(region, col.dict_table, slot_count);
+  std::vector<bool> seen(dict_size, false);
+  for (uint64_t pos = storage::kDictTableHeaderSlots; pos < slot_count;
+       ++pos) {
+    if (slots[pos] == 0) continue;
+    const uint64_t id = slots[pos] - 1;
+    if (id >= dict_size || seen[id]) {
+      AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+                 where + ": value→id slot " + std::to_string(pos) +
+                     " holds id " + std::to_string(id) +
+                     (id >= dict_size ? " outside the dictionary (size " +
+                                            std::to_string(dict_size) + ")"
+                                      : " a second time"));
+      return;
+    }
+    seen[id] = true;
+  }
+  for (uint64_t id = 0; id + 1 < dict_size; ++id) {
+    if (!seen[id]) {
+      AddFinding(ctx, "dictionary", FindingSeverity::kTable,
+                 where + ": value→id table misses id " + std::to_string(id));
+      return;
+    }
+  }
+}
+
 void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
                        DataType type, const PTableGroup& group,
                        uint64_t column) {
@@ -563,6 +623,7 @@ void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
       }
     }
   }
+  if (values_ok) VerifyDictTable(ctx, col, where);
 
   // Attribute vector: one id per committed delta row, each id within the
   // dictionary. Uncommitted trailing rows may be torn (they are truncated

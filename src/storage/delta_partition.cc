@@ -108,7 +108,7 @@ Status DeltaPartition::ReservePlaceholderRows(
   return mvcc_.BulkAppend(entries.data(), entries.size());
 }
 
-Status DeltaPartition::RepairTornInserts() {
+Status DeltaPartition::RepairAfterCrash() {
   const uint64_t rows = mvcc_.size();
   for (auto& col : columns_) {
     if (col.attr_size() < rows) {
@@ -118,6 +118,7 @@ Status DeltaPartition::RepairTornInserts() {
     if (col.attr_size() > rows) {
       col.TruncateAttr(rows);
     }
+    HYRISE_NV_RETURN_NOT_OK(col.dictionary().Repair());
   }
   return Status::OK();
 }

@@ -24,7 +24,8 @@ class DeltaColumn {
     DeltaDictionary::Format(region, meta);
   }
 
-  /// Validates and rebuilds volatile dictionary state.
+  /// Validates persistent state. Constant work: the dictionary's
+  /// value→id table is persistent (see DeltaDictionary::Attach).
   Status Attach();
 
   /// Appends `value` for the next row: dictionary insert + attribute
@@ -117,8 +118,9 @@ class DeltaPartition {
   alloc::PVector<MvccEntry>& mvcc_vector() { return mvcc_; }
 
   /// Truncates column attribute vectors that outgrew the MVCC vector
-  /// (crash landed mid-insert). Called by recovery.
-  Status RepairTornInserts();
+  /// (crash landed mid-insert) and repairs each column's dictionary
+  /// table (DeltaDictionary::Repair). Called by recovery.
+  Status RepairAfterCrash();
 
  private:
   MvccEntry* mvcc_data() { return mvcc_.data(); }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "alloc/pvector.h"
 #include "common/status.h"
@@ -20,6 +19,14 @@ Value DecodeNumeric(uint64_t bits, DataType type);
 /// Three-way comparison of two encoded numeric values of `type`.
 int CompareNumericEncoded(DataType type, uint64_t a, uint64_t b);
 
+/// Stable 64-bit hash of a value, identical across restarts (persistent
+/// structures store it or place entries by it). FNV-1a with a splitmix
+/// finaliser; HashString and HashNumeric hash the encoded forms a
+/// dictionary stores, with the same result as HashValue.
+uint64_t HashValue(const Value& value, DataType type);
+uint64_t HashString(std::string_view text);
+uint64_t HashNumeric(uint64_t bits);
+
 /// Reads the length-prefixed string at `offset` in a blob vector.
 std::string_view BlobRead(const alloc::PVector<char>& blob, uint64_t offset);
 
@@ -30,39 +37,111 @@ Result<uint64_t> BlobAppend(alloc::PVector<char>& blob,
 /// The delta partition's unsorted, append-only dictionary for one column.
 ///
 /// Persistent state: the value vector (numeric bits, or blob offsets for
-/// strings) and the string blob. The value→id dedup map is volatile and
-/// rebuilt from the persistent vectors on restart (cost proportional to
-/// the delta, not the database — see DESIGN.md §4.3).
+/// strings), the string blob, and a value→id table (PDictTable: open
+/// addressing, linear probing) that maps a value to its id without
+/// copying keys. Opening a dictionary therefore does constant work; only
+/// a bulk-loaded dictionary (checkpoint load) builds its table, once.
+///
+/// Crash consistency: an insert appends the value first — the size bump
+/// is the commit point — then stores the slot and flushes it without a
+/// fence of its own. The next fence orders it: the row fence of
+/// DeltaPartition::AppendRow before the row can commit, or the value
+/// append of the next insert. Inserts into one dictionary are serialized
+/// (table write mutex, or single-threaded replay), so a crash can lose at
+/// most the slot of the last id, and no committed row references that id.
+/// Attach finds it missing; Repair (or the next insert) re-inserts it.
+///
+/// Concurrency: one writer at a time; Lookup and GetValue take no lock.
+/// Readers load the table word and slots with acquire, and a table
+/// replaced by growth is retired (chained from its successor), never
+/// freed while a reader may hold it: merge frees the chain with the old
+/// generation, and Repair frees it at open.
 class DeltaDictionary {
  public:
   DeltaDictionary() = default;
   DeltaDictionary(DataType type, nvm::PmemRegion* region,
                   alloc::PAllocator* alloc, PDeltaColumnMeta* meta);
 
-  /// Formats empty persistent vectors for a fresh column.
+  /// Formats empty persistent vectors (and no table) for a fresh column.
   static void Format(nvm::PmemRegion& region, PDeltaColumnMeta* meta);
 
-  /// Validates persistent state and rebuilds the volatile dedup map.
+  /// Frees the table at offset `table` and every table it retired (merge
+  /// retiring an old generation, open freeing a retired chain).
+  /// Best-effort: a broken link stops the walk and leaks the rest.
+  static void FreeTables(alloc::PAllocator& alloc, nvm::PmemRegion& region,
+                         uint64_t table);
+
+  /// Validates persistent state and finds which ids the table misses: at
+  /// most the last one after a crash, or all of them when a bulk load
+  /// left no table. Lookup still finds those ids. Never writes, so a
+  /// salvage open can use it.
   Status Attach();
+
+  /// Indexes the ids Attach found missing (building the table when there
+  /// is none) and frees the tables retired by growth. Writes; call it
+  /// only while no reader holds the dictionary, i.e. at open.
+  Status Repair();
 
   /// Returns the id of `value`, inserting it if new. The insert persists
   /// the dictionary entry before returning.
   Result<ValueId> GetOrInsert(const Value& value);
 
-  /// Id of `value` if present, else kInvalidValueId.
-  ValueId Lookup(const Value& value) const;
+  /// Id of `value` if present, else kInvalidValueId. `hash` must be
+  /// HashValue(value, type()).
+  ValueId Lookup(const Value& value) const {
+    return Lookup(value, HashValue(value, type_));
+  }
+  ValueId Lookup(const Value& value, uint64_t hash) const;
 
   Value GetValue(ValueId id) const;
 
   uint64_t size() const { return values_.size(); }
   DataType type() const { return type_; }
 
+  /// Slots of the live table including its header (0 = no table).
+  uint64_t table_slots() const;
+
  private:
+  /// A value in the form the dictionary stores it.
+  struct Key {
+    uint64_t bits = 0;       // numeric columns
+    std::string_view text;   // string columns
+  };
+
+  Key KeyOf(const Value& value) const;
+  Key KeyOfId(ValueId id) const;
+  uint64_t HashOf(const Key& key) const;
+  bool Matches(ValueId id, const Key& key) const;
+
+  PDictTable* TableAt(uint64_t offset) const;
+  PDictTable* LiveTable() const;
+
+  /// Probes `table` for `key`. Returns the id, or kInvalidValueId with
+  /// `*empty_slot` set to the slot where the key would go.
+  ValueId Probe(const PDictTable* table, const Key& key, uint64_t hash,
+                uint64_t* empty_slot) const;
+
+  /// Replaces the live table by one sized for `entries` ids that holds
+  /// every id below size(), published with one atomic persist.
+  Status Grow(uint64_t entries);
+
+  /// Stores id's slot at `pos` of `table` and flushes it (no fence).
+  void StoreSlot(PDictTable* table, uint64_t pos, ValueId id);
+
+  /// Indexes ids [indexed_, size()).
+  Status IndexMissing();
+
+  void SetIndexed(uint64_t ids);
+
   DataType type_ = DataType::kInt64;
+  nvm::PmemRegion* region_ = nullptr;
+  alloc::PAllocator* alloc_ = nullptr;
+  PDeltaColumnMeta* meta_ = nullptr;
   alloc::PVector<uint64_t> values_;
   alloc::PVector<char> blob_;
-  std::unordered_map<uint64_t, ValueId> numeric_map_;
-  std::unordered_map<std::string, ValueId> string_map_;
+  /// Ids [0, indexed_) are in the live table; Lookup compares the rest
+  /// directly. Volatile; written by the writer, read by lock-free readers.
+  uint64_t indexed_ = 0;
 };
 
 /// Read-only view of a main partition's sorted dictionary. Value ids are

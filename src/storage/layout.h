@@ -8,12 +8,26 @@
 
 namespace hyrise_nv::storage {
 
+/// Header of a delta dictionary's persistent value→id table. The table is
+/// one power-of-two block of uint32 slots whose first
+/// kDictTableHeaderSlots slots hold this header. A slot holds id + 1
+/// (0 = empty); keys are not copied, a probe compares against the
+/// dictionary's values and blob (see storage/dictionary.h).
+struct PDictTable {
+  uint64_t slot_count;  // power of two, header slots included
+  uint64_t retired;     // the table this one replaced (0 = none)
+};
+constexpr uint64_t kDictTableHeaderSlots =
+    sizeof(PDictTable) / sizeof(uint32_t);
+
 /// On-NVM metadata of one column's delta partition: unsorted dictionary
-/// (values + string blob) and the unencoded value-id vector.
+/// (values + string blob + value→id table) and the unencoded value-id
+/// vector.
 struct PDeltaColumnMeta {
   alloc::PVectorDesc dict_values;  // uint64: numeric bits or blob offsets
   alloc::PVectorDesc dict_blob;    // length-prefixed string payloads
   alloc::PVectorDesc attr;         // uint32 value ids, one per delta row
+  uint64_t dict_table;  // live PDictTable offset (0 = none yet)
   uint64_t dict_seal;  // content seal over dict_values+dict_blob (0 = none)
   uint64_t attr_seal;  // content seal over attr (0 = none)
 };

@@ -350,6 +350,7 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
     FreeVectorBuffer(alloc, dcol->dict_values);
     FreeVectorBuffer(alloc, dcol->dict_blob);
     FreeVectorBuffer(alloc, dcol->attr);
+    DeltaDictionary::FreeTables(alloc, region, dcol->dict_table);
   }
   FreeVectorBuffer(alloc, old_group->main_mvcc);
   FreeVectorBuffer(alloc, old_group->delta_mvcc);

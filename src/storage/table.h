@@ -113,9 +113,11 @@ class Table {
   /// Number of rows visible to (snapshot, tid).
   uint64_t CountVisible(Cid snapshot, Tid tid) const;
 
-  /// Post-crash repair: truncates torn inserts. Dictionary dedup maps are
-  /// rebuilt by Attach. Cost is O(delta columns), not O(data).
-  Status RepairAfterCrash() { return delta_.RepairTornInserts(); }
+  /// Post-crash repair: truncates torn inserts and completes each delta
+  /// dictionary's value→id table — at most one id per column after a
+  /// crash, so the cost is O(delta columns), not O(data). Also builds
+  /// the tables of bulk-loaded dictionaries (checkpoint load), once.
+  Status RepairAfterCrash() { return delta_.RepairAfterCrash(); }
 
   /// Rebinds the handle to the current group (after a merge swap).
   Status ReattachGroup();

@@ -217,7 +217,10 @@ Status DeserializeTable(ByteReader& r, alloc::PHeap& heap,
                                             &group->delta_mvcc);
     HYRISE_NV_RETURN_NOT_OK(ReadPVector(r, mvcc));
   }
-  return table->ReattachGroup();
+  HYRISE_NV_RETURN_NOT_OK(table->ReattachGroup());
+  // The delta dictionaries were bulk-loaded without their value→id
+  // tables: build them, once.
+  return table->RepairAfterCrash();
 }
 
 }  // namespace

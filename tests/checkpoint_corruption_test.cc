@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "alloc/region_header.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "nvm/nvm_env.h"
@@ -230,6 +232,76 @@ TEST_F(WalCorruptionTest, CorruptNvmImageFallsBackToWal) {
   EXPECT_EQ(CountRows(reopened, (*db_result)->ReadSnapshot(),
                       storage::kTidNone),
             30u);
+}
+
+/// Rewrites the image's region format version in place, leaving a
+/// header exactly like one an older build would have written.
+void SetFormatVersion(const std::string& path, uint32_t version) {
+  std::fstream file(path,
+                    std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good()) << path;
+  file.seekp(static_cast<std::streamoff>(
+      offsetof(alloc::RegionHeader, format_version)));
+  file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  ASSERT_TRUE(file.good());
+}
+
+TEST_F(WalCorruptionTest, FormatV2ImageIsRefused) {
+  DatabaseOptions options = WalOptions("format_v2_refused");
+  options.mode = DurabilityMode::kNvm;
+  options.tracking = nvm::TrackingMode::kNone;
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    ASSERT_TRUE(db->InsertAutoCommit(
+                      table, {Value(int64_t{1}), Value(std::string("x"))})
+                    .ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  // A v2 image predates the persistent dictionary tables: its delta
+  // column metadata has another layout, so it must not be attached.
+  SetFormatVersion(options.NvmImagePath(), 2);
+  auto db_result = Database::Open(options);
+  ASSERT_FALSE(db_result.ok());
+  EXPECT_TRUE(db_result.status().IsCorruption());
+  EXPECT_NE(db_result.status().ToString().find(
+                "unsupported region format version 2"),
+            std::string::npos)
+      << db_result.status().ToString();
+}
+
+TEST_F(WalCorruptionTest, FormatV2ImageWithWalFallsBackToLog) {
+  auto options = WalOptions("format_v2_fallback");
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(db->InsertAutoCommit(table, {Value(int64_t{i}),
+                                               Value(std::string("w"))})
+                      .ok());
+    }
+    ASSERT_TRUE(db->Close().ok());
+  }
+  DatabaseOptions nvm_options = options;
+  nvm_options.mode = DurabilityMode::kNvm;
+  nvm_options.tracking = nvm::TrackingMode::kNone;
+  {
+    auto db = std::move(Database::Create(nvm_options)).ValueUnsafe();
+    ASSERT_TRUE(db->Close().ok());
+  }
+  SetFormatVersion(nvm_options.NvmImagePath(), 2);
+
+  auto db_result = Database::Open(nvm_options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result;
+  EXPECT_TRUE(db->last_recovery_report().fell_back_to_log);
+  storage::Table* table = *db->GetTable("kv");
+  EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 30u);
+  ASSERT_TRUE(db->Close().ok());
+  // The rebuilt image is current-format and opens without the log.
+  db_result = Database::Open(nvm_options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  EXPECT_FALSE((*db_result)->last_recovery_report().fell_back_to_log);
 }
 
 }  // namespace

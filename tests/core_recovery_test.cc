@@ -5,6 +5,7 @@
 #include "core/database.h"
 #include "core/query.h"
 #include "nvm/nvm_env.h"
+#include "obs/metrics.h"
 
 namespace hyrise_nv::core {
 namespace {
@@ -225,6 +226,60 @@ TEST(ProcessRestartTest, NvmCleanCloseAndReopen) {
     EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone),
               25u);
   }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+// Instant restart does no work per dictionary entry: the delta
+// dictionaries' value→id tables are persistent, so reopening a 50k-row
+// delta of distinct values hashes nothing.
+TEST(ProcessRestartTest, NvmOpenHashesNoDictionaryEntries) {
+#if !HYRISE_NV_METRICS_ENABLED
+  GTEST_SKIP() << "metrics compile out in this build";
+#endif
+  constexpr int64_t kRows = 50'000;
+  const auto value_of = [](int64_t k) {
+    return Value("distinct-" + std::to_string(k * 7919));
+  };
+  const std::string dir = MakeDataDir("process_restart_dict");
+  DatabaseOptions options;
+  options.mode = DurabilityMode::kNvm;
+  options.region_size = 64 << 20;
+  options.data_dir = dir;
+  options.tracking = nvm::TrackingMode::kNone;
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
+    for (int64_t k = 0; k < kRows;) {
+      auto tx = *db->Begin();
+      for (int j = 0; j < 1000; ++j, ++k) {
+        ASSERT_TRUE(db->Insert(tx, table, {Value(k), value_of(k)}).ok());
+      }
+      ASSERT_TRUE(db->Commit(tx).ok());
+    }
+    ASSERT_TRUE(db->Close().ok());
+  }
+  const obs::Counter& rehashed = obs::MetricsRegistry::Instance().GetCounter(
+      "storage.dict.index.rehashed_entries");
+  const uint64_t before = rehashed.Value();
+  auto db_result = Database::Open(options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  EXPECT_EQ(rehashed.Value(), before);
+  auto& db = *db_result;
+  storage::Table* table = *db->GetTable("kv");
+  EXPECT_EQ(table->delta().column(0).dictionary().size(),
+            static_cast<uint64_t>(kRows));
+  EXPECT_EQ(table->delta().column(1).dictionary().size(),
+            static_cast<uint64_t>(kRows));
+  for (const int64_t k : {int64_t{0}, int64_t{12345}, kRows - 1}) {
+    auto rows = db->ScanEqual(table, 0, Value(k), db->ReadSnapshot(),
+                              storage::kTidNone);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ(table->GetValue(rows->front(), 1), value_of(k));
+  }
+  db_result->reset();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

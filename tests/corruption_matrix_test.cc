@@ -229,6 +229,27 @@ TEST_F(CorruptionMatrixTest, HashIndexBucketFlipDetected) {
   EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
 }
 
+TEST_F(CorruptionMatrixTest, DeltaDictionaryTableSlotFlipDetected) {
+  FlipBit([](Nav& nav) {
+    // First occupied slot of the int64 column's value→id table: the flip
+    // turns its id into a second copy of another id, an id outside the
+    // dictionary, or a hole that is not the last id.
+    auto* group = nav.Group();
+    const uint64_t ncols = nav.FirstTable()->num_columns;
+    const uint64_t table_off = group->delta_col(0, ncols)->dict_table;
+    auto* table = nav.At<storage::PDictTable>(table_off);
+    const auto* slots = nav.At<uint32_t>(table_off);
+    for (uint64_t s = storage::kDictTableHeaderSlots; s < table->slot_count;
+         ++s) {
+      if (slots[s] != 0) return table_off + s * sizeof(uint32_t);
+    }
+    ADD_FAILURE() << "delta dictionary table is empty";
+    return uint64_t{1};
+  });
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("dictionary")) << report.Summary();
+}
+
 TEST_F(CorruptionMatrixTest, CorruptImageFailsNormalDeepOpen) {
   FlipBit([](Nav& nav) {
     return Nav::DescData(nav.Group()->main_col(0)->dict_values) + 8;

@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "core/database.h"
 #include "core/query.h"
+#include "recovery/verify.h"
 
 namespace hyrise_nv::core {
 namespace {
@@ -242,6 +243,88 @@ TEST_P(CrossTableAtomicityTest, BothTablesOrNeither) {
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, CrossTableAtomicityTest,
                          ::testing::Range(uint64_t{1}, uint64_t{30}));
+
+// The delta dictionaries' value→id tables under every fence cut of six
+// inserts with fresh values, which cross a table growth (the ninth id
+// doubles each column's table): the cut can land between a value append
+// and its slot store, and before or after the growth publish. The
+// crashed image must deep-verify clean (a missing last id is allowed),
+// and after instant restart every committed value keeps exactly one id.
+class DictionaryTableCrashTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(DictionaryTableCrashTest, CommittedValuesKeepExactlyOneId) {
+  const uint64_t crash_fences = GetParam();
+  DatabaseOptions options;
+  options.mode = DurabilityMode::kNvm;
+  options.region_size = 16 << 20;
+  options.tracking = nvm::TrackingMode::kShadow;
+  auto db = std::move(Database::Create(options)).ValueUnsafe();
+  auto schema = *storage::Schema::Make(
+      {{"k", storage::DataType::kInt64}, {"v", storage::DataType::kString}});
+  storage::Table* table = *db->CreateTable("kv", schema);
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
+  const auto row_of = [](int64_t k) {
+    return std::vector<Value>{Value(k), Value("value-" + std::to_string(k))};
+  };
+  for (int64_t k = 0; k < 8; ++k) {
+    ASSERT_TRUE(db->InsertAutoCommit(table, row_of(k)).ok());
+  }
+  db->heap().region().FreezeShadowAfterFences(crash_fences);
+  for (int64_t k = 8; k < 14; ++k) {
+    ASSERT_TRUE(db->InsertAutoCommit(table, row_of(k)).ok());
+  }
+  ASSERT_TRUE(db->heap().region().SimulateCrash().ok());
+  const recovery::VerifyReport crashed =
+      recovery::DeepVerify(db->heap().region());
+  EXPECT_TRUE(crashed.clean())
+      << "cut " << crash_fences << ": " << crashed.Summary();
+
+  auto recovered_result = Database::CrashAndRecover(std::move(db));
+  ASSERT_TRUE(recovered_result.ok()) << recovered_result.status().ToString();
+  auto& recovered = *recovered_result;
+  storage::Table* rtable = *recovered->GetTable("kv");
+  const storage::Cid snapshot = recovered->ReadSnapshot();
+
+  // Every committed row's cells hold the one id its value maps to...
+  uint64_t committed = 0;
+  rtable->ForEachVisibleRow(snapshot, storage::kTidNone, [&](RowLocation loc) {
+    ++committed;
+    for (size_t c = 0; c < 2; ++c) {
+      const auto& dict = rtable->delta().column(c).dictionary();
+      EXPECT_EQ(dict.Lookup(rtable->GetValue(loc, c)),
+                rtable->delta().column(c).AttrAt(loc.row))
+          << "cut " << crash_fences << " row " << loc.row;
+    }
+  });
+  for (int64_t k = 0; k < 14; ++k) {
+    auto rows = recovered->ScanEqual(rtable, 0, Value(k), snapshot,
+                                     storage::kTidNone);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->size(), k < static_cast<int64_t>(committed) ? 1u : 0u)
+        << "cut " << crash_fences << " key " << k;
+  }
+  // ...every entry maps back to itself, and re-inserting returns it.
+  for (size_t c = 0; c < 2; ++c) {
+    auto& dict = rtable->delta().column(c).dictionary();
+    const uint64_t size = dict.size();
+    for (uint64_t id = 0; id < size; ++id) {
+      const Value value = dict.GetValue(static_cast<storage::ValueId>(id));
+      EXPECT_EQ(dict.Lookup(value), id) << "cut " << crash_fences;
+      auto again = dict.GetOrInsert(value);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(*again, id) << "cut " << crash_fences;
+    }
+    EXPECT_EQ(dict.size(), size);
+  }
+  const recovery::VerifyReport reopened =
+      recovery::DeepVerify(recovered->heap().region());
+  EXPECT_TRUE(reopened.clean())
+      << "cut " << crash_fences << ": " << reopened.Summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(FenceCuts, DictionaryTableCrashTest,
+                         ::testing::Range(uint64_t{0}, uint64_t{160}));
 
 }  // namespace
 }  // namespace hyrise_nv::core

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "index/index_set.h"
 #include "storage/catalog.h"
@@ -134,6 +135,30 @@ TEST_F(IndexTest, SurvivesMergeViaGroupKey) {
   Insert(1, "ein", 200);
   EXPECT_EQ(LookupNames(1),
             (std::multiset<std::string>{"one", "uno", "ein"}));
+}
+
+TEST_F(IndexTest, DeltaIndexKeepsWideRowsAndRefusesEntriesPastLimit) {
+  ASSERT_TRUE(indexes_->CreateIndex(0).ok());
+  storage::PIndexMeta* meta = &table_->group()->indexes[0];
+  ASSERT_EQ(meta->state, 1u);
+  DeltaIndex index(&heap_->region(), &heap_->allocator(), meta);
+  const uint64_t hash = storage::HashValue(Value(int64_t{1}), DataType::kInt64);
+  // Row numbers stay 64 bits wide in the 16-byte entry.
+  const uint64_t wide_row = uint64_t{1} << 40;
+  ASSERT_TRUE(index.Insert(hash, wide_row).ok());
+  std::vector<uint64_t> rows;
+  index.ForEachCandidate(hash, [&](uint64_t row) { rows.push_back(row); });
+  EXPECT_EQ(rows, std::vector<uint64_t>{wide_row});
+
+  // A full index refuses the entry instead of truncating its 32-bit
+  // chain position. Only the committed count is consulted before any
+  // write, so a count at the limit stands in for 2^32 - 1 entries.
+  const uint64_t real_count = meta->entries.size;
+  meta->entries.size = kMaxDeltaIndexEntries;
+  const Status status = index.Insert(hash, 2);
+  meta->entries.size = real_count;
+  EXPECT_EQ(status.code(), StatusCode::kOutOfMemory) << status.ToString();
+  EXPECT_EQ(index.entry_count(), 1u);
 }
 
 TEST_F(IndexTest, SurvivesCrashAndReattach) {

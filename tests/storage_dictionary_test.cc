@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "alloc/pheap.h"
+#include "obs/metrics.h"
 
 namespace hyrise_nv::storage {
 namespace {
@@ -39,6 +42,14 @@ class DictionaryTest : public ::testing::Test {
   MainDictionary MakeMain(DataType type) {
     return MainDictionary(type, &heap_->region(), &heap_->allocator(),
                           main_meta_);
+  }
+
+  /// Entries hashed into dictionary tables by builds, growths, and
+  /// repairs so far (0 when metrics are compiled out).
+  static uint64_t RehashedEntries() {
+    return obs::MetricsRegistry::Instance()
+        .GetCounter("storage.dict.index.rehashed_entries")
+        .Value();
   }
 
   std::unique_ptr<alloc::PHeap> heap_;
@@ -110,19 +121,130 @@ TEST_F(DictionaryTest, DeltaEmptyStringSupported) {
   EXPECT_EQ(std::get<std::string>(dict.GetValue(*id)), "");
 }
 
-TEST_F(DictionaryTest, DeltaAttachRebuildsDedupMap) {
+TEST_F(DictionaryTest, DeltaAttachKeepsPersistentTable) {
   {
     auto dict = MakeDelta(DataType::kString);
     ASSERT_TRUE(dict.GetOrInsert(Value(std::string("x"))).ok());
     ASSERT_TRUE(dict.GetOrInsert(Value(std::string("y"))).ok());
   }
-  // Simulate restart: fresh handle, Attach rebuilds the map.
+  // Simulate restart: a fresh handle finds the value→id table on NVM, so
+  // neither attach nor repair hashes a single entry.
+  const uint64_t rehashed_before = RehashedEntries();
   auto dict = MakeDelta(DataType::kString);
   ASSERT_TRUE(dict.Attach().ok());
+  ASSERT_TRUE(dict.Repair().ok());
+  EXPECT_EQ(RehashedEntries(), rehashed_before);
   EXPECT_EQ(dict.size(), 2u);
+  EXPECT_EQ(dict.table_slots(), 16u);
+  EXPECT_EQ(dict.Lookup(Value(std::string("y"))), 1u);
   auto again = dict.GetOrInsert(Value(std::string("x")));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, 0u) << "attach must rediscover existing entries";
+}
+
+TEST_F(DictionaryTest, DeltaTableGrowsAndRetiresOldTables) {
+  auto dict = MakeDelta(DataType::kInt64);
+  for (int64_t v = 0; v < 1000; ++v) {
+    auto id = dict.GetOrInsert(Value(v * 7));
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(*id, static_cast<ValueId>(v));
+  }
+  // 1000 ids + 4 header slots exceed 3/4 of 1024 slots.
+  EXPECT_EQ(dict.table_slots(), 2048u);
+  const auto* table =
+      heap_->Resolve<PDictTable>(delta_meta_->dict_table);
+  EXPECT_NE(table->retired, 0u) << "growth retires, never frees";
+  for (int64_t v = 0; v < 1000; ++v) {
+    ASSERT_EQ(dict.Lookup(Value(v * 7)), static_cast<ValueId>(v));
+  }
+  EXPECT_EQ(dict.Lookup(Value(int64_t{3})), kInvalidValueId);
+  // Open-time repair frees the retired chain.
+  auto reopened = MakeDelta(DataType::kInt64);
+  ASSERT_TRUE(reopened.Attach().ok());
+  ASSERT_TRUE(reopened.Repair().ok());
+  EXPECT_EQ(table->retired, 0u);
+  EXPECT_EQ(reopened.Lookup(Value(int64_t{6993})), 999u);
+}
+
+/// Cuts durability at every fence of four inserts that cross a table
+/// growth (the ninth id doubles the table from 16 to 32 slots), crashes,
+/// and re-attaches. A cut can land before or after the growth publish
+/// and between a value append and its slot store; whichever, every
+/// committed value keeps exactly one id.
+TEST(DictionaryCrashTest, FenceCutSweepAcrossInsertAndGrowth) {
+  for (const DataType type : {DataType::kString, DataType::kInt64}) {
+    const auto value_of = [type](int i) {
+      return type == DataType::kString ? Value("value-" + std::to_string(i))
+                                       : Value(int64_t{i} * 1000003);
+    };
+    bool saw_missing_last = false;
+    bool saw_before_publish = false;
+    bool saw_after_publish = false;
+    uint64_t complete_runs = 0;
+    for (uint64_t cut = 0; complete_runs < 3; ++cut) {
+      ASSERT_LT(cut, 500u) << "sweep never reached an uncut run";
+      nvm::PmemRegionOptions opts;
+      opts.tracking = nvm::TrackingMode::kShadow;
+      auto heap = std::move(alloc::PHeap::Create(2 << 20, opts)).ValueUnsafe();
+      auto* meta = heap->Resolve<PDeltaColumnMeta>(
+          *heap->allocator().Alloc(sizeof(PDeltaColumnMeta)));
+      DeltaDictionary::Format(heap->region(), meta);
+      {
+        DeltaDictionary dict(type, &heap->region(), &heap->allocator(), meta);
+        for (int i = 0; i < 8; ++i) {
+          ASSERT_TRUE(dict.GetOrInsert(value_of(i)).ok());
+        }
+        heap->region().Fence();  // the first eight are durable
+        heap->region().FreezeShadowAfterFences(cut);
+        for (int i = 8; i < 12; ++i) {
+          ASSERT_TRUE(dict.GetOrInsert(value_of(i)).ok());
+        }
+        if (!heap->region().shadow_frozen()) ++complete_runs;
+      }
+      ASSERT_TRUE(heap->region().SimulateCrash().ok());
+
+      DeltaDictionary dict(type, &heap->region(), &heap->allocator(), meta);
+      ASSERT_TRUE(dict.Attach().ok()) << "cut " << cut;
+      const uint64_t n = dict.size();
+      ASSERT_GE(n, 8u);
+      ASSERT_LE(n, 12u);
+      // What the cut left on NVM: which table, and which ids it holds.
+      const auto* table = heap->Resolve<PDictTable>(meta->dict_table);
+      const auto* slots = reinterpret_cast<const uint32_t*>(table);
+      std::vector<int> held(n, 0);
+      for (uint64_t s = kDictTableHeaderSlots; s < table->slot_count; ++s) {
+        if (slots[s] == 0) continue;
+        ASSERT_LE(slots[s], n) << "cut " << cut;
+        ++held[slots[s] - 1];
+      }
+      for (uint64_t id = 0; id + 1 < n; ++id) {
+        ASSERT_EQ(held[id], 1) << "cut " << cut << " id " << id;
+      }
+      ASSERT_LE(held[n - 1], 1);
+      saw_missing_last |= held[n - 1] == 0;
+      saw_before_publish |= n == 8 && table->slot_count == 16 && cut > 0;
+      saw_after_publish |= n == 8 && table->slot_count == 32;
+
+      // Every committed value maps to exactly one id, read-only first...
+      for (uint64_t id = 0; id < n; ++id) {
+        ASSERT_EQ(dict.Lookup(value_of(static_cast<int>(id))), id)
+            << "cut " << cut;
+      }
+      // ...and re-inserting returns the old id without growing the dict.
+      for (uint64_t id = 0; id < n; ++id) {
+        auto again = dict.GetOrInsert(value_of(static_cast<int>(id)));
+        ASSERT_TRUE(again.ok());
+        ASSERT_EQ(*again, id) << "cut " << cut;
+      }
+      ASSERT_EQ(dict.size(), n);
+      auto next = dict.GetOrInsert(value_of(100));
+      ASSERT_TRUE(next.ok());
+      EXPECT_EQ(*next, n);
+    }
+    EXPECT_TRUE(saw_missing_last) << "no cut between value and slot";
+    EXPECT_TRUE(saw_before_publish) << "no cut before the growth publish";
+    EXPECT_TRUE(saw_after_publish) << "no cut after the growth publish";
+  }
 }
 
 TEST_F(DictionaryTest, DeltaSurvivesCrash) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nvm/nvm_env.h"
+#include "obs/metrics.h"
 #include "storage/merge.h"
 
 namespace hyrise_nv::wal {
@@ -111,6 +112,47 @@ TEST_F(CheckpointTest, RoundTripTwoTables) {
   // Ids preserved.
   EXPECT_EQ((*r1)->id(), t1->id());
   EXPECT_EQ((*r2)->id(), t2->id());
+}
+
+// A checkpoint carries delta dictionaries without their value→id tables;
+// loading one builds each table once, hashing exactly its entries.
+TEST_F(CheckpointTest, LoadBuildsEachDictionaryTableOnce) {
+#if !HYRISE_NV_METRICS_ENABLED
+  GTEST_SKIP() << "metrics compile out in this build";
+#endif
+  storage::Table* t1 = MakeTable("alpha");
+  for (int i = 0; i < 300; ++i) {
+    InsertCommitted(t1, i, "v" + std::to_string(i % 200), 5);
+  }
+  ASSERT_TRUE(WriteCheckpoint(path_, BlockDeviceOptions{},
+                              *source_catalog_, *source_commit_, 0)
+                  .ok());
+
+  const obs::Counter& rehashed = obs::MetricsRegistry::Instance().GetCounter(
+      "storage.dict.index.rehashed_entries");
+  const uint64_t before = rehashed.Value();
+  auto heap = MakeHeap();
+  auto catalog = std::move(storage::Catalog::Format(*heap)).ValueUnsafe();
+  auto commit = std::move(txn::CommitTable::Format(*heap)).ValueUnsafe();
+  ASSERT_TRUE(LoadCheckpoint(path_, BlockDeviceOptions{}, *heap, *catalog,
+                             *commit)
+                  .ok());
+  storage::Table* loaded = *catalog->GetTable("alpha");
+  auto& keys = loaded->delta().column(0).dictionary();
+  auto& values = loaded->delta().column(1).dictionary();
+  ASSERT_EQ(keys.size(), 300u);
+  ASSERT_EQ(values.size(), 200u);
+  EXPECT_EQ(rehashed.Value() - before, keys.size() + values.size());
+  for (int i = 0; i < 200; ++i) {
+    const Value value("v" + std::to_string(i));
+    const storage::ValueId id = values.Lookup(value);
+    ASSERT_NE(id, storage::kInvalidValueId);
+    EXPECT_EQ(values.GetValue(id), value);
+    auto again = values.GetOrInsert(value);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, id);
+  }
+  EXPECT_EQ(keys.Lookup(Value(int64_t{299})), 299u);
 }
 
 TEST_F(CheckpointTest, CorruptFileDetected) {

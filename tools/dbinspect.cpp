@@ -199,12 +199,21 @@ void PrintTable(storage::Table& table, bool verbose) {
   for (size_t c = 0; c < table.schema().num_columns(); ++c) {
     const auto& def = table.schema().column(c);
     const auto& main_col = table.main().column(c);
-    const auto& delta_col = table.delta().column(c);
+    const auto& delta_dict = table.delta().column(c).dictionary();
+    // The value→id table's load counts its header slots, as growth does.
+    const uint64_t slots = delta_dict.table_slots();
+    const double load =
+        slots == 0 ? 0.0
+                   : 100.0 *
+                         static_cast<double>(delta_dict.size() +
+                                             storage::kDictTableHeaderSlots) /
+                         static_cast<double>(slots);
     std::printf("  col %2zu %-18s %-7s  main dict %8" PRIu64
-                " (%2u bits)   delta dict %8" PRIu64 "\n",
+                " (%2u bits)   delta dict %8" PRIu64 " (table %" PRIu64
+                " slots, load %.0f%%)\n",
                 c, def.name.c_str(), storage::DataTypeName(def.type),
                 main_col.dictionary().size(), main_col.attr().bits(),
-                delta_col.dictionary().size());
+                delta_dict.size(), slots, load);
   }
 
   storage::PTableGroup* group = table.group();
