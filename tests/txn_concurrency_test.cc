@@ -223,9 +223,7 @@ TEST_F(TxnConcurrencyTest, ReadOnlyCommitsAreCounted) {
 #else
   auto db = MakeDb();
   const auto count = [&] {
-    const auto* c =
-        db->MetricsSnapshot().FindCounter("txn.commit.count");
-    return c != nullptr ? c->value : 0;
+    return db->MetricsSnapshot().CounterValue("txn.commit.count");
   };
   const uint64_t before = count();
   auto tx = db->Begin();
