@@ -1,6 +1,6 @@
 // Crash-forensics workload: runs a multi-threaded insert/update mix on
 // an NVM-backed database with the full observability stack switched on
-// (flight recorder, sampled transaction tracing, history sampler, crash
+// (flight recorder, sampled transaction tracing, timeline recorder, crash
 // handler) until it is killed or a duration elapses.
 //
 // Intended use (also what CI's crash-forensics smoke does):
@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
   // page-cache durability, not the shadow simulation.
   options.tracking = nvm::TrackingMode::kNone;
   options.txn_sample_every = 64;
-  options.enable_history_sampler = true;
-  options.history_interval_ms = 250;
+  // Each timeline tick also flushes the flight recorder.
+  options.enable_timeline = true;
+  options.timeline_interval_ms = 250;
   options.install_crash_handler = true;
 
   auto db_result = core::Database::Create(options);
@@ -113,6 +114,6 @@ int main(int argc, char** argv) {
 
   std::printf("crash_workload: clean finish, %llu commits\n",
               static_cast<unsigned long long>(committed.load()));
-  std::printf("history: %s\n", db->HistoryJson().c_str());
+  std::printf("timeline: %s\n", db->TimelineJson().c_str());
   return db->Close().ok() ? 0 : 1;
 }

@@ -107,6 +107,16 @@ class PVector {
     region_->Persist(slot, sizeof(T));
   }
 
+  /// Overwrites with a flush but *no fence* (the overwrite analogue of
+  /// AppendUnfenced). The caller must issue a region Fence before the
+  /// new value is relied on as durable.
+  void SetUnfenced(uint64_t index, const T& value) {
+    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
+    T* slot = data() + index;
+    *slot = value;
+    region_->Flush(slot, sizeof(T));
+  }
+
   /// Overwrites without persisting (caller batches a PersistRange).
   void SetUnpersisted(uint64_t index, const T& value) {
     HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
@@ -211,9 +221,11 @@ class PVector {
                   desc_->size * sizeof(T));
       region_->Persist(new_buf, desc_->size * sizeof(T));
     }
-    // Publish through the inactive slot, then flip the version. The flip
-    // is the single atomic commit point; it also makes the intent's block
-    // reachable, after which the intent can be retired.
+    // Retire the intent before the publish: a crash in between leaks the
+    // new buffer, whereas the other order would let allocator recovery
+    // free a published one. Then publish through the inactive slot and
+    // flip the version, the single atomic commit point.
+    alloc_->CommitIntent(intent);
     auto& inactive = desc_->slots[(desc_->version + 1) & 1];
     std::atomic_ref<uint64_t>(inactive.data)
         .store(new_data, std::memory_order_relaxed);
@@ -221,7 +233,6 @@ class PVector {
         .store(new_cap, std::memory_order_relaxed);
     region_->Persist(&inactive, sizeof(inactive));
     region_->AtomicPersist64(&desc_->version, desc_->version + 1);
-    alloc_->CommitIntent(intent);
     if (old_data != 0) {
       // Best-effort: a crash exactly here leaks the old buffer.
       (void)alloc_->Free(old_data);

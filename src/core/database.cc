@@ -34,7 +34,7 @@ void NoteOpened() {
 #endif
 }
 
-// Adopts every in-doubt 2PC transaction a log replay surfaced: builds a
+// Adopts every in-doubt 2PC transaction the log pass surfaced: builds a
 // kPrepared context carrying the rebuilt write set and seals a prepared
 // commit slot for it (no OnPrepare hook — the log already holds the
 // prepare record), so the transaction survives further restarts and its
@@ -189,82 +189,19 @@ Result<std::unique_ptr<Database>> Database::Open(
     auto db_result = CreateFresh(options, /*open_existing_log=*/true);
     if (!db_result.ok()) return db_result;
     auto& db = *db_result;
-
-    bool serve_on_demand =
-        options.log_recovery == LogRecoveryPolicy::kServeOnDemand;
-    if (serve_on_demand) {
-      // In-doubt 2PC transactions need the eager replay machinery (row
-      // claims + write-set reconstruction, DESIGN.md §16); the on-demand
-      // analysis pass cannot stage them. Rare by construction — prepares
-      // exist only in the window between prepare and decide — so the
-      // fallback costs nothing in the common case.
-      auto in_doubt_result =
-          recovery::LogHasInDoubt(options.MakeLogOptions());
-      if (!in_doubt_result.ok()) return in_doubt_result.status();
-      if (*in_doubt_result) {
-        HYRISE_NV_LOG(kWarn)
-            << "log holds in-doubt 2PC transactions; falling back from "
-               "serve-on-demand to eager replay";
-        serve_on_demand = false;
-      }
-    }
-    if (serve_on_demand) {
-      // Serve-during-recovery: analysis stages pending rows instead of
-      // replaying them, the engine opens degraded in O(log-scan) time,
-      // and a background drain restores the rest while serving.
-      auto index_result = recovery::AnalyzeLog(
-          *db->heap_, *db->catalog_, *db->txn_manager_,
-          options.MakeLogOptions());
-      if (!index_result.ok()) return index_result.status();
-      db->log_manager_->ResetDictWatermarks(*db->catalog_);
-      db->recovery_.mode = options.mode;
-      db->recovery_.recovered = true;
-      db->recovery_.log = index_result->report;
-      tracer.Attach(db->recovery_.log.trace);
-      tracer.Begin("attach_index_sets");
-      HYRISE_NV_RETURN_NOT_OK(db->AttachAllIndexSets());
-      tracer.End();
-      db->deferred_indexes_ = std::move(index_result->indexed_columns);
-      if (index_result->total_pending_rows == 0) {
-        // Nothing to drain: build the indexes inline and open ready.
-        HYRISE_NV_RETURN_NOT_OK(db->BuildDeferredIndexes());
-      } else {
-        recovery::RecoveryDriverOptions driver_options;
-        driver_options.drain_chunk_rows = options.drain_chunk_rows;
-        driver_options.drain_pause_us = options.drain_pause_us;
-        db->recovery_driver_ = std::make_unique<recovery::RecoveryDriver>(
-            *db->heap_, std::move(*index_result), driver_options);
-      }
-      db->recovery_.trace = tracer.Finish();
-      db->recovery_.total_seconds = db->recovery_.trace.seconds;
-      NoteOpened();
-      db->StartObservability(/*recovered=*/true);
-      if (db->recovery_driver_ != nullptr) {
-        Database* raw = db.get();
-        db->recovery_driver_->StartDrain(
-            [raw] { return raw->BuildDeferredIndexes(); });
-      }
-      return db_result;
-    }
-
-    auto report_result = recovery::RecoverFromLog(
-        *db->heap_, *db->catalog_, *db->txn_manager_,
-        options.MakeLogOptions());
-    if (!report_result.ok()) return report_result.status();
+    HYRISE_NV_RETURN_NOT_OK(db->RecoverFromWal(
+        tracer,
+        options.log_recovery == LogRecoveryPolicy::kServeOnDemand));
     db->log_manager_->ResetDictWatermarks(*db->catalog_);
-    db->recovery_.mode = options.mode;
-    db->recovery_.recovered = true;
-    db->recovery_.log = *report_result;
-    tracer.Attach(db->recovery_.log.trace);
-    tracer.Begin("attach_index_sets");
-    HYRISE_NV_RETURN_NOT_OK(db->AttachAllIndexSets());
-    tracer.End();
-    HYRISE_NV_RETURN_NOT_OK(AdoptInDoubt(
-        db->recovery_.log, *db->catalog_, *db->txn_manager_));
     db->recovery_.trace = tracer.Finish();
     db->recovery_.total_seconds = db->recovery_.trace.seconds;
     NoteOpened();
     db->StartObservability(/*recovered=*/true);
+    if (db->recovery_driver_ != nullptr) {
+      Database* raw = db.get();
+      db->recovery_driver_->StartDrain(
+          [raw] { return raw->BuildDeferredIndexes(); });
+    }
     return db_result;
   }
 
@@ -287,26 +224,25 @@ Result<std::unique_ptr<Database>> Database::OpenViaLogFallback(
     region_options.latency = options.nvm_latency;
     region_options.tracking = nvm::TrackingMode::kNone;
     region_options.file_path = rebuild_path;
+    auto scratch = std::unique_ptr<Database>(new Database(options));
     auto heap_result =
         alloc::PHeap::Create(options.region_size, region_options);
     if (!heap_result.ok()) return heap_result.status();
-    auto heap = std::move(heap_result).ValueUnsafe();
-    auto catalog_result = storage::Catalog::Format(*heap);
+    scratch->heap_ = std::move(heap_result).ValueUnsafe();
+    auto catalog_result = storage::Catalog::Format(*scratch->heap_);
     if (!catalog_result.ok()) return catalog_result.status();
-    auto txn_result = txn::TxnManager::Format(*heap);
+    scratch->catalog_ = std::move(catalog_result).ValueUnsafe();
+    auto txn_result = txn::TxnManager::Format(*scratch->heap_);
     if (!txn_result.ok()) return txn_result.status();
-    auto report_result = recovery::RecoverFromLog(
-        *heap, **catalog_result, **txn_result, options.MakeLogOptions());
-    if (!report_result.ok()) return report_result.status();
-    log_report = *report_result;
-    tracer.Attach(log_report.trace);
-    // Seal prepared slots for in-doubt 2PC transactions into the rebuilt
-    // image: the log is retired below, so the image alone must carry the
-    // prepared state for the re-open to adopt.
+    scratch->txn_manager_ = std::move(txn_result).ValueUnsafe();
+    // Eager recovery into the scratch image, in-doubt 2PC transactions
+    // included: the log is retired below, so the image alone must carry
+    // their prepared slots for the re-open to adopt.
     HYRISE_NV_RETURN_NOT_OK(
-        AdoptInDoubt(log_report, **catalog_result, **txn_result));
-    recovery::SealForCleanShutdown(*heap);
-    HYRISE_NV_RETURN_NOT_OK(heap->CloseClean());
+        scratch->RecoverFromWal(tracer, /*on_demand=*/false));
+    log_report = scratch->recovery_.log;
+    recovery::SealForCleanShutdown(*scratch->heap_);
+    HYRISE_NV_RETURN_NOT_OK(scratch->heap_->CloseClean());
   }
   tracer.End();
   tracer.Begin("install_image");
@@ -346,6 +282,63 @@ Result<std::unique_ptr<Database>> Database::OpenViaLogFallback(
   return db_result;
 }
 
+Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
+  const wal::LogManagerOptions log_options = options_.MakeLogOptions();
+  tracer.Begin("log_recovery");
+  tracer.Begin("checkpoint_load");
+  auto index_result = recovery::LoadLogCheckpoint(*heap_, *catalog_,
+                                                  *txn_manager_, log_options);
+  if (!index_result.ok()) return index_result.status();
+  recovery::LogIndex& index = *index_result;
+  recovery::LogRecoveryReport& report = index.report;
+  report.checkpoint_load_seconds = tracer.End();
+  // The same pass for both policies; only the open point differs. Eager
+  // replay is the pass plus every staged row restored right here.
+  tracer.Begin(on_demand ? "analysis" : "replay");
+  HYRISE_NV_RETURN_NOT_OK(recovery::AnalyzeLog(
+      *heap_, *catalog_, *txn_manager_, log_options, tracer, index));
+  if (on_demand) {
+    report.on_demand = true;
+    report.analysis_seconds = tracer.End();
+  } else {
+    tracer.Begin("restore");
+    for (recovery::TablePending& pending : index.tables) {
+      for (uint32_t row = 0; row < pending.rows.size(); ++row) {
+        HYRISE_NV_RETURN_NOT_OK(recovery::RestorePendingRow(pending, row));
+      }
+    }
+    tracer.End();
+    report.replay_seconds = tracer.End();
+  }
+  tracer.Begin("attach_index_sets");
+  HYRISE_NV_RETURN_NOT_OK(AttachAllIndexSets());
+  tracer.End();
+  deferred_indexes_ = index.indexed_columns;
+  const bool degraded = on_demand && report.deferred_rows > 0;
+  if (!degraded) {
+    // Every row holds its value: build the indexes now and open ready.
+    tracer.Begin("index_rebuild");
+    HYRISE_NV_RETURN_NOT_OK(BuildDeferredIndexes());
+    report.index_rebuild_seconds = tracer.End();
+  }
+  tracer.End();
+  recovery_.mode = options_.mode;
+  recovery_.recovered = true;
+  recovery_.log = report;
+  HYRISE_NV_RETURN_NOT_OK(AdoptInDoubt(report, *catalog_, *txn_manager_));
+  if (degraded) {
+    // Serve-during-recovery: reads restore the rows they touch, and the
+    // drain (started once the database is live) restores the rest and
+    // then builds the deferred indexes.
+    recovery::RecoveryDriverOptions driver_options;
+    driver_options.drain_chunk_rows = options_.drain_chunk_rows;
+    driver_options.drain_pause_us = options_.drain_pause_us;
+    recovery_driver_ = std::make_unique<recovery::RecoveryDriver>(
+        *heap_, std::move(index), driver_options);
+  }
+  return Status::OK();
+}
+
 Result<recovery::VerifyReport> Database::VerifyImage(
     const DatabaseOptions& options) {
   nvm::PmemRegionOptions region_options;
@@ -359,12 +352,10 @@ Result<recovery::VerifyReport> Database::VerifyImage(
 Result<std::unique_ptr<Database>> Database::CrashAndRecover(
     std::unique_ptr<Database> db) {
   const DatabaseOptions options = db->options_;
-  // Stop the historian and timeline before the simulated power failure:
-  // their threads flush/decode the flight recorder via the process-wide
-  // Current() pointer, which re-attaching the heap below is about to
-  // swap out.
+  // Stop the timeline before the simulated power failure: its thread
+  // flushes/decodes the flight recorder via the process-wide Current()
+  // pointer, which re-attaching the heap below is about to swap out.
   db->timeline_.reset();
-  db->history_.reset();
 
   if (options.mode == DurabilityMode::kNvm) {
     HYRISE_NV_RETURN_NOT_OK(db->heap_->region().SimulateCrash());
@@ -782,11 +773,10 @@ Status Database::Checkpoint() {
 }
 
 Status Database::Close() {
-  // Stop the timeline and historian first: they must not flush or
-  // decode the recorder after the close event seals the session (the
-  // timeline hook also dereferences heap_ state that Close tears down).
+  // Stop the timeline first: it must not flush or decode the recorder
+  // after the close event seals the session (its hook also dereferences
+  // heap_ state that Close tears down).
   timeline_.reset();
-  history_.reset();
   // Stop the drain before touching shared state below. A close while
   // still degraded is fine: restores are never re-logged, so the next
   // open simply re-runs analysis from the same WAL.
@@ -824,11 +814,6 @@ void Database::StartObservability(bool recovered) {
     bb->Record(obs::BlackboxEventType::kOpen,
                static_cast<uint64_t>(options_.mode), recovered ? 1 : 0);
   }
-  if (options_.enable_history_sampler) {
-    history_ = std::make_unique<obs::HistorySampler>(
-        options_.history_interval_ms, options_.history_capacity);
-    history_->Start();
-  }
   if (options_.enable_timeline) {
     obs::TimelineConfig config = obs::TimelineConfig::Default();
     config.interval_ms = options_.timeline_interval_ms;
@@ -840,13 +825,6 @@ void Database::StartObservability(bool recovered) {
     timeline_->SetPreSampleHook([this] { SyncPassiveMetrics(); });
     timeline_->Start();
   }
-}
-
-std::string Database::HistoryJson() const {
-  if (history_ == nullptr) {
-    return "{\"interval_ms\":0,\"capacity\":0,\"samples\":[]}";
-  }
-  return history_->ToJson();
 }
 
 std::string Database::TimelineJson() const {

@@ -8,7 +8,6 @@
 
 #include "core/options.h"
 #include "index/index_set.h"
-#include "obs/history.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "recovery/recovery_driver.h"
@@ -186,14 +185,8 @@ class Database {
   /// hot path mirrors live.
   obs::MetricsSnapshot MetricsSnapshot();
 
-  /// JSON time series from the background historian (empty-object-ish
-  /// `{"samples":[]}` shape when options.enable_history_sampler is off).
-  std::string HistoryJson() const;
-  /// The historian, or nullptr when disabled.
-  obs::HistorySampler* history_sampler() { return history_.get(); }
-
-  /// Phase-annotated timeline from the background recorder (same
-  /// `{"samples":[]}` shape when options.enable_timeline is off).
+  /// Phase-annotated timeline from the background recorder
+  /// (`{"samples":[]}` shape when options.enable_timeline is off).
   std::string TimelineJson() const;
   /// CSV form of the same timeline (header row + one row per sample).
   std::string TimelineCsv() const;
@@ -235,6 +228,14 @@ class Database {
   /// retire the log, and re-open.
   static Result<std::unique_ptr<Database>> OpenViaLogFallback(
       const DatabaseOptions& options);
+  /// Log-based recovery into the freshly formatted heap: checkpoint load,
+  /// the analysis pass, then the open point. Eager (`on_demand` false)
+  /// restores every staged row on this thread and builds the indexes
+  /// before returning; on-demand leaves the rows to a RecoveryDriver
+  /// whose drain the caller starts once the database is live. Either
+  /// way, in-doubt 2PC transactions are adopted last. Spans go into
+  /// `tracer` under "log_recovery".
+  Status RecoverFromWal(obs::SpanTracer& tracer, bool on_demand);
   Status AttachAllIndexSets();
   nvm::PmemRegionOptions MakeRegionOptions() const;
   Status EnsureWritable() const;
@@ -242,15 +243,15 @@ class Database {
   /// positions reference the pre-merge layout and deferred indexes are
   /// still pending, so these must wait for the drain to finish.
   Status EnsureNotDegraded(const char* what) const;
-  /// Builds every index recorded in the checkpoint whose construction
-  /// was deferred by an on-demand open. Runs on the drain thread as the
-  /// finalize step (or inline when nothing was pending).
+  /// Builds every index the checkpoint and log recorded, once all staged
+  /// rows hold their values: inline in an eager open, or on the drain
+  /// thread as the finalize step of an on-demand one.
   Status BuildDeferredIndexes();
   /// Flips the database read-only when a WAL write error exhausted the
   /// writer's retry budget (degraded mode).
   void NoteLogFailure(const Status& status);
   /// Applies the observability options once the engine is live: txn
-  /// sampling, history sampler, crash handler, and the kOpen recorder
+  /// sampling, timeline recorder, crash handler, and the kOpen recorder
   /// event. Called at the end of Create/Open/CrashAndRecover.
   void StartObservability(bool recovered);
 
@@ -265,16 +266,14 @@ class Database {
   std::unique_ptr<wal::LogManager> log_manager_;
   std::unordered_map<storage::Table*, std::unique_ptr<index::IndexSet>>
       index_sets_;
-  /// Indexes from the checkpoint whose builds an on-demand open deferred
-  /// to drain completion (placeholder rows can't be keyed).
+  /// Indexes from the checkpoint and log whose builds wait until every
+  /// staged row is restored (placeholder rows can't be keyed).
   std::vector<wal::CheckpointInfo::IndexedColumn> deferred_indexes_;
   /// Non-null only for an on-demand WAL open with pending rows; owns the
   /// drain thread, so destroyed before the structures it restores into.
   std::unique_ptr<recovery::RecoveryDriver> recovery_driver_;
-  // Last members on purpose: destroyed first, so the historian and
-  // timeline threads are stopped before the heap (and its flight
-  // recorder) go away.
-  std::unique_ptr<obs::HistorySampler> history_;
+  // Last member on purpose: destroyed first, so the timeline thread is
+  // stopped before the heap (and its flight recorder) go away.
   std::unique_ptr<obs::TimelineRecorder> timeline_;
 };
 

@@ -7,6 +7,7 @@
 
 #include "nvm/latency_model.h"
 #include "nvm/pmem_region.h"
+#include "obs/trace.h"
 #include "recovery/log_recovery.h"
 #include "recovery/nvm_recovery.h"
 #include "wal/log_manager.h"
@@ -41,16 +42,18 @@ enum class OpenMode {
   kSalvageReadOnly,
 };
 
-/// How Open() applies the WAL after the checkpoint load (WAL modes only).
+/// When Open() serves after the log pass (WAL modes only). Both policies
+/// run the same analysis pass, which stages logged rows as placeholders
+/// with final MVCC state; they differ only in the open point.
 enum class LogRecoveryPolicy {
-  /// Replay everything before serving (the paper's baseline: recovery is
-  /// linear in data size and the engine is down for the whole replay).
+  /// Restore every staged row and build the indexes before serving (the
+  /// paper's baseline: recovery is linear in data size and the engine is
+  /// down for the whole replay).
   kEagerReplay,
-  /// Serve-during-recovery (MM-DIRECT shape): an analysis pass stages
-  /// pending rows as placeholders, the engine opens degraded within
-  /// milliseconds, reads restore the keys they touch on demand, and a
-  /// background drain replays the remainder before flipping the engine
-  /// to fully recovered.
+  /// Serve-during-recovery (MM-DIRECT shape): the engine opens degraded
+  /// right after the pass, reads restore the keys they touch on demand,
+  /// and a background drain restores the remainder before flipping the
+  /// engine to fully recovered.
   kServeOnDemand,
 };
 
@@ -104,21 +107,14 @@ struct DatabaseOptions {
   /// Database::LastSampledTxnTrace().
   uint64_t txn_sample_every = 0;
 
-  /// Run the background metrics historian: every history_interval_ms it
-  /// captures a counter-delta sample into an in-memory ring of
-  /// history_capacity points (exported via Database::HistoryJson()) and
-  /// flushes the flight recorder.
-  bool enable_history_sampler = false;
-  uint64_t history_interval_ms = 1000;
-  size_t history_capacity = 300;
-
   /// Run the timeline recorder (DESIGN.md §15): every
   /// timeline_interval_ms it captures the standard temporal metric set
   /// (commit/fsync/request rates, per-interval latency percentiles,
   /// heap/RSS/NVM-region gauges, recovery backlog) into a ring of
   /// timeline_capacity samples, annotated with maintenance phases
-  /// spliced from the flight recorder. Exported via
-  /// Database::TimelineJson() and the server stats opcode.
+  /// spliced from the flight recorder; each tick also flushes the flight
+  /// recorder. Exported via Database::TimelineJson() and the server stats
+  /// opcode.
   bool enable_timeline = false;
   uint64_t timeline_interval_ms = 1000;
   size_t timeline_capacity = 600;
@@ -166,9 +162,9 @@ struct RecoveryReport {
   bool read_only = false;
   /// Tables quarantined by a salvage open; GetTable on them fails.
   std::vector<std::string> quarantined_tables;
-  /// Full span tree of the open ("open" root; instant_restart or
-  /// log_recovery subtree grafted in, plus attach_index_sets). Empty for
-  /// a fresh Create. `total_seconds` equals `trace.seconds` when set.
+  /// Full span tree of the open ("open" root; the instant_restart
+  /// subtree plus attach_index_sets, or the log_recovery subtree). Empty
+  /// for a fresh Create. `total_seconds` equals `trace.seconds` when set.
   obs::SpanNode trace;
 
   /// Human-readable summary: mode/flags header + indented span tree.

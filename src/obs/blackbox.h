@@ -33,8 +33,8 @@ namespace hyrise_nv::obs {
 ///  - Under the strict shadow crash model (SimulateCrash), events persist
 ///    only up to the last flush. The writer amortises a flush+fence over
 ///    every `flush_every_` slots per ring, and flushes everything on
-///    clean close, on each history-sampler tick, and from the fatal-
-///    signal handler — real hardware would also write dirty lines back
+///    clean close, on each timeline tick, and from the fatal-signal
+///    handler — real hardware would also write dirty lines back
 ///    opportunistically, so the shadow model under-approximates recorder
 ///    durability on purpose.
 ///  - The recorder is diagnostics, not data: a corrupt recorder header is

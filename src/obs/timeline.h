@@ -20,11 +20,11 @@ namespace hyrise_nv::obs {
 /// answers "what are the counters now" and the request histograms answer
 /// "where did this request's latency go", the TimelineRecorder answers
 /// "how did throughput and latency evolve across that merge + checkpoint
-/// + recovery cycle". It generalizes HistorySampler: a configurable
-/// metric set (counter deltas, gauge values, per-interval histogram
-/// percentiles from bucket diffs) sampled into a bounded ring, with
-/// phase annotations spliced in from the flight recorder so every sample
-/// knows which maintenance phase it landed in.
+/// + recovery cycle". A configurable metric set (counter deltas, gauge
+/// values, per-interval histogram percentiles from bucket diffs) is
+/// sampled into a bounded ring, with phase annotations spliced in from
+/// the flight recorder so every sample knows which maintenance phase it
+/// landed in. Each tick also flushes the flight recorder.
 
 /// Which metrics each sample captures, by registry name.
 struct TimelineConfig {

@@ -1,10 +1,11 @@
 #include "recovery/log_index.h"
 
-#include <set>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "nvm/nvm_env.h"
+#include "obs/blackbox.h"
+#include "obs/metrics.h"
 #include "wal/log_reader.h"
 
 namespace hyrise_nv::recovery {
@@ -22,284 +23,310 @@ struct StagedTable {
   std::vector<storage::MvccEntry> mvcc;
 };
 
+/// Records the checkpoint-fallback decision (blackbox event + metric) so
+/// forensics can distinguish "checkpoint ignored" restarts from normal
+/// ones.
+void NoteCheckpointFallback(alloc::PHeap& heap) {
+  if (obs::BlackboxWriter* bb = heap.blackbox()) {
+    bb->Record(obs::BlackboxEventType::kCheckpointFallback, 1);
+  }
+  obs::MetricsRegistry::Instance()
+      .GetCounter("recovery.checkpoint_fallback.count")
+      .Inc();
+}
+
 }  // namespace
 
-Result<LogIndex> AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
-                            txn::TxnManager& txn_manager,
-                            const wal::LogManagerOptions& options) {
-  LogIndex out;
-  LogRecoveryReport& report = out.report;
-  report.on_demand = true;
-  obs::SpanTracer tracer("log_analysis");
+Result<LogIndex> LoadLogCheckpoint(alloc::PHeap& heap,
+                                   storage::Catalog& catalog,
+                                   txn::TxnManager& txn_manager,
+                                   const wal::LogManagerOptions& options) {
+  LogIndex index;
+  auto info_result =
+      wal::LoadCheckpoint(options.checkpoint_path, options.device, heap,
+                          catalog, txn_manager.commit_table());
+  if (info_result.ok()) {
+    index.replay_offset = info_result->log_offset;
+    index.report.checkpoint_bytes = info_result->bytes;
+    index.indexed_columns = std::move(info_result->indexed_columns);
+  } else if (info_result.status().IsCorruption() &&
+             catalog.num_tables() == 0) {
+    // The untouched (freshly formatted) heap lets the log reproduce
+    // everything from offset 0. If the catalog already has state, the
+    // log alone cannot — the error propagates instead.
+    HYRISE_NV_LOG(kWarn)
+        << "checkpoint is corrupt (" << info_result.status().ToString()
+        << "); falling back to full log replay from offset 0";
+    index.report.checkpoint_fallback = true;
+    NoteCheckpointFallback(heap);
+  } else if (!info_result.status().IsNotFound()) {
+    return info_result.status();
+  }
+  return index;
+}
 
-  // Phase 1: checkpoint load — identical to eager replay, including the
-  // corrupt-checkpoint fallback.
-  tracer.Begin("checkpoint_load");
-  uint64_t replay_offset = 0;
+Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
+                  txn::TxnManager& txn_manager,
+                  const wal::LogManagerOptions& options,
+                  obs::SpanTracer& tracer, LogIndex& index) {
+  if (!nvm::FileExists(options.log_path)) return Status::OK();
+  LogRecoveryReport& report = index.report;
+  auto device_result =
+      wal::BlockDevice::Open(options.log_path, options.device);
+  if (!device_result.ok()) return device_result.status();
+  wal::BlockDevice& device = **device_result;
+  const uint64_t offset = index.replay_offset;
+  report.log_bytes_scanned =
+      device.size() > offset ? device.size() - offset : 0;
+
+  // Pass one: committed tid -> cid, plus prepared-but-undecided tids (a
+  // kPrepare with no later kCommit/kAbort for the same tid: the
+  // transaction is in doubt and awaits the coordinator's decision).
+  // Checkpoints are refused while anything is prepared, so every
+  // undecided kPrepare lies past the checkpoint offset.
+  std::unordered_map<Tid, Cid> committed;
+  std::unordered_map<Tid, uint64_t> prepared;  // tid -> gtid
+  Cid max_cid = 0;
+  Tid max_tid = 0;
+  tracer.Begin("scan_commits");
   {
-    auto info_result =
-        wal::LoadCheckpoint(options.checkpoint_path, options.device, heap,
-                            catalog, txn_manager.commit_table());
-    if (info_result.ok()) {
-      replay_offset = info_result->log_offset;
-      report.checkpoint_bytes = info_result->bytes;
-      out.indexed_columns = info_result->indexed_columns;
-    } else if (info_result.status().IsCorruption() &&
-               catalog.num_tables() == 0) {
-      HYRISE_NV_LOG(kWarn)
-          << "checkpoint is corrupt ("
-          << info_result.status().ToString()
-          << "); falling back to full log analysis from offset 0";
-      report.checkpoint_fallback = true;
-      NoteCheckpointFallback(heap);
-    } else if (!info_result.status().IsNotFound()) {
-      return info_result.status();
-    }
-  }
-  report.checkpoint_load_seconds = tracer.End();
-
-  // Phase 2: two-pass log scan. Pass one finds commits (as eager replay
-  // does); pass two applies DDL / dictionary adds / MVCC state eagerly
-  // and stages insert payloads instead of applying them.
-  tracer.Begin("analysis");
-  if (nvm::FileExists(options.log_path)) {
-    auto device_result =
-        wal::BlockDevice::Open(options.log_path, options.device);
-    if (!device_result.ok()) return device_result.status();
-    wal::BlockDevice& device = **device_result;
-    report.log_bytes_scanned =
-        device.size() > replay_offset ? device.size() - replay_offset : 0;
-
-    std::unordered_map<Tid, Cid> committed;
-    Cid max_cid = 0;
-    Tid max_tid = 0;
-    {
-      tracer.Begin("scan_commits");
-      wal::LogReader reader(&device);
-      auto scan = reader.ForEach(
-          replay_offset, [&](const wal::LogRecord& record) -> Status {
-            max_tid = std::max(max_tid, record.tid);
-            if (record.type == wal::RecordType::kCommit) {
-              committed.emplace(record.tid, record.cid);
-              max_cid = std::max(max_cid, record.cid);
-            }
-            return Status::OK();
-          });
-      if (!scan.ok()) return scan.status();
-      tracer.End();
-    }
-
-    tracer.Begin("build_index");
-    auto& region = heap.region();
-    std::vector<StagedTable> staged;
-    std::unordered_map<uint64_t, size_t> staged_by_id;
-    auto staged_for = [&](uint64_t table_id) -> Result<StagedTable*> {
-      auto it = staged_by_id.find(table_id);
-      if (it != staged_by_id.end()) return &staged[it->second];
-      auto table = catalog.GetTableById(table_id);
-      if (!table.ok()) return table.status();
-      staged_by_id.emplace(table_id, staged.size());
-      staged.emplace_back();
-      StagedTable& entry = staged.back();
-      entry.pending.table = *table;
-      entry.pending.table_id = table_id;
-      // Placeholders are only appended after the scan, so the current
-      // delta row count stays the staging base for the whole pass.
-      entry.pending.base_delta_rows = (*table)->delta_row_count();
-      return &entry;
-    };
-
     wal::LogReader reader(&device);
-    auto analyze = [&](const wal::LogRecord& record) -> Status {
-      switch (record.type) {
-        case wal::RecordType::kInsert: {
-          HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
-                                     staged_for(record.table_id));
-          storage::Table* table = entry->pending.table;
-          if (record.values.size() != table->schema().num_columns()) {
-            return Status::Corruption("logged insert arity mismatch");
+    auto scan = reader.ForEach(
+        offset, [&](const wal::LogRecord& record) -> Status {
+          max_tid = std::max(max_tid, record.tid);
+          if (record.type == wal::RecordType::kCommit) {
+            committed.emplace(record.tid, record.cid);
+            prepared.erase(record.tid);
+            max_cid = std::max(max_cid, record.cid);
+          } else if (record.type == wal::RecordType::kAbort) {
+            prepared.erase(record.tid);
+          } else if (record.type == wal::RecordType::kPrepare) {
+            prepared.emplace(record.tid, record.gtid);
           }
-          // Encode now, while analysis is single-threaded: GetOrInsert in
-          // log order builds the same dictionaries eager replay would,
-          // and after this pass they are read-only until the drain
-          // finishes — restores become plain cell stores.
-          std::vector<storage::ValueId> ids;
-          ids.reserve(record.values.size());
-          for (size_t c = 0; c < record.values.size(); ++c) {
-            auto id = table->delta().column(c).dictionary().GetOrInsert(
-                record.values[c]);
-            if (!id.ok()) return id.status();
-            ids.push_back(*id);
-          }
-          storage::MvccEntry mvcc;
-          mvcc.begin = storage::kCidInfinity;
-          mvcc.end = storage::kCidInfinity;
-          mvcc.tid = record.tid;
-          auto it = committed.find(record.tid);
-          if (it != committed.end()) {
-            mvcc.begin = it->second;
-            mvcc.tid = storage::kTidNone;
-          }
-          entry->mvcc.push_back(mvcc);
-          entry->pending.rows.push_back(PendingRow{std::move(ids)});
-          break;
-        }
-        case wal::RecordType::kInsertEncoded: {
-          HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
-                                     staged_for(record.table_id));
-          storage::Table* table = entry->pending.table;
-          if (record.value_ids.size() != table->schema().num_columns()) {
-            return Status::InvalidArgument("encoded row arity mismatch");
-          }
-          for (size_t c = 0; c < record.value_ids.size(); ++c) {
-            // Dictionary adds precede the inserts that use them in the
-            // log and are applied eagerly, so the bound is already final.
-            if (record.value_ids[c] >=
-                table->delta().column(c).dictionary().size()) {
-              return Status::Corruption("encoded id beyond dictionary");
-            }
-          }
-          storage::MvccEntry mvcc;
-          mvcc.begin = storage::kCidInfinity;
-          mvcc.end = storage::kCidInfinity;
-          mvcc.tid = record.tid;
-          auto it = committed.find(record.tid);
-          if (it != committed.end()) {
-            mvcc.begin = it->second;
-            mvcc.tid = storage::kTidNone;
-          }
-          entry->mvcc.push_back(mvcc);
-          entry->pending.rows.push_back(PendingRow{record.value_ids});
-          break;
-        }
-        case wal::RecordType::kDictAdd: {
-          auto table = catalog.GetTableById(record.table_id);
-          if (!table.ok()) return table.status();
-          if (record.column >= (*table)->schema().num_columns()) {
-            return Status::Corruption("dict-add column out of range");
-          }
-          auto id = (*table)
-                        ->delta()
-                        .column(record.column)
-                        .dictionary()
-                        .GetOrInsert(record.dict_value);
-          if (!id.ok()) return id.status();
-          break;
-        }
-        case wal::RecordType::kDelete: {
-          auto it = committed.find(record.tid);
-          if (it == committed.end()) break;  // uncommitted delete: no-op
-          HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
-                                     staged_for(record.table_id));
-          storage::Table* table = entry->pending.table;
-          if (record.loc.in_main ||
-              record.loc.row < entry->pending.base_delta_rows) {
-            // The row exists from the checkpoint: stamp storage directly,
-            // exactly as eager replay does.
-            const uint64_t rows = record.loc.in_main
-                                      ? table->main_row_count()
-                                      : entry->pending.base_delta_rows;
-            if (record.loc.row >= rows) {
-              return Status::Corruption(
-                  "logged delete references bad row");
-            }
-            auto* mvcc = table->mvcc(record.loc);
-            mvcc->end = it->second;
-            mvcc->tid = storage::kTidNone;
-            region.Persist(mvcc, sizeof(*mvcc));
-          } else {
-            // The delete targets a row staged earlier in this scan: fold
-            // the end stamp into the staged entry before it is appended.
-            const uint64_t ordinal =
-                record.loc.row - entry->pending.base_delta_rows;
-            if (ordinal >= entry->mvcc.size()) {
-              return Status::Corruption(
-                  "logged delete references bad row");
-            }
-            entry->mvcc[ordinal].end = it->second;
-            entry->mvcc[ordinal].tid = storage::kTidNone;
-          }
-          break;
-        }
-        case wal::RecordType::kCreateTable: {
-          auto schema_result = storage::Schema::Deserialize(
-              record.schema_blob.data(), record.schema_blob.size());
-          if (!schema_result.ok()) return schema_result.status();
-          HYRISE_NV_RETURN_NOT_OK(
-              catalog
-                  .RestoreTable(record.table_name, *schema_result,
-                                record.table_id)
-                  .status());
-          break;
-        }
-        case wal::RecordType::kCreateIndex: {
-          auto table = catalog.GetTableById(record.table_id);
-          if (!table.ok()) return table.status();
-          out.indexed_columns.push_back(
-              {(*table)->name(), record.column, record.index_kind});
-          break;
-        }
-        case wal::RecordType::kCommit:
-        case wal::RecordType::kAbort:
-          break;
-      }
-      ++report.replayed_records;
-      return Status::OK();
-    };
-    auto scan = reader.ForEach(replay_offset, analyze);
+          return Status::OK();
+        });
     if (!scan.ok()) return scan.status();
-    tracer.End();
-
-    report.committed_txns = committed.size();
-
-    // Append the staged placeholder rows and build the per-key index.
-    tracer.Begin("reserve");
-    std::unordered_map<std::string, std::set<uint32_t>> key_columns;
-    for (const auto& indexed : out.indexed_columns) {
-      key_columns[indexed.table].insert(
-          static_cast<uint32_t>(indexed.column));
-    }
-    for (StagedTable& entry : staged) {
-      if (entry.pending.rows.empty()) continue;
-      storage::Table* table = entry.pending.table;
-      HYRISE_NV_RETURN_NOT_OK(table->ReservePlaceholderRows(entry.mvcc));
-      std::set<uint32_t> cols;
-      auto kit = key_columns.find(table->name());
-      if (kit != key_columns.end()) cols = kit->second;
-      if (cols.empty()) cols.insert(0);
-      for (uint32_t col : cols) {
-        if (col >= table->schema().num_columns()) continue;
-        auto& key_map = entry.pending.key_maps[col];
-        const auto& dict = table->delta().column(col).dictionary();
-        for (uint32_t ordinal = 0;
-             ordinal < static_cast<uint32_t>(entry.pending.rows.size());
-             ++ordinal) {
-          const PendingRow& row = entry.pending.rows[ordinal];
-          key_map[dict.GetValue(row.ids[col])].push_back(ordinal);
-        }
-      }
-      out.total_pending_rows += entry.pending.rows.size();
-      report.deferred_rows += entry.pending.rows.size();
-      out.tables.push_back(std::move(entry.pending));
-    }
-    tracer.End();
-
-    // Advance transaction state beyond anything the log used.
-    auto* block = txn_manager.commit_table().block();
-    if (max_cid >= block->commit_watermark) {
-      region.AtomicPersist64(&block->commit_watermark, max_cid);
-    }
-    if (max_cid + 1 > block->cid_block) {
-      region.AtomicPersist64(&block->cid_block, max_cid + 1);
-    }
-    if (max_tid + 1 > block->tid_block) {
-      region.AtomicPersist64(&block->tid_block, max_tid + 1);
-    }
   }
-  report.analysis_seconds = tracer.End();
-  report.trace = tracer.Finish();
-  report.total_seconds = report.trace.seconds;
-  return out;
+  tracer.End();
+
+  // Pass two: apply DDL, dictionary adds and MVCC state, stage inserts.
+  tracer.Begin("apply");
+  auto& region = heap.region();
+  std::vector<StagedTable> staged;
+  std::unordered_map<uint64_t, size_t> staged_by_id;
+  auto staged_for = [&](uint64_t table_id) -> Result<StagedTable*> {
+    auto it = staged_by_id.find(table_id);
+    if (it != staged_by_id.end()) return &staged[it->second];
+    auto table = catalog.GetTableById(table_id);
+    if (!table.ok()) return table.status();
+    staged_by_id.emplace(table_id, staged.size());
+    staged.emplace_back();
+    StagedTable& entry = staged.back();
+    entry.pending.table = *table;
+    // Placeholders are only appended after the scan, so the current
+    // delta row count stays the staging base for the whole pass.
+    entry.pending.base_delta_rows = (*table)->delta_row_count();
+    return &entry;
+  };
+  // Write sets of in-doubt transactions, rebuilt in log order so a later
+  // decide-commit stamps exactly what the prepare covered.
+  std::unordered_map<Tid, std::vector<LogRecoveryReport::InDoubtWrite>>
+      in_doubt_writes;
+  // Stages one logged insert. Its MVCC entry is final up front: a
+  // committed insert carries its begin stamp; any other stays invisible
+  // (begin = ∞) under its writer's claim, and an in-doubt one joins its
+  // transaction's write set at the row its placeholder will occupy.
+  auto stage = [&](StagedTable& entry, const wal::LogRecord& record,
+                   std::vector<storage::ValueId> ids) {
+    storage::MvccEntry mvcc;
+    mvcc.begin = storage::kCidInfinity;
+    mvcc.end = storage::kCidInfinity;
+    mvcc.tid = record.tid;
+    auto it = committed.find(record.tid);
+    if (it != committed.end()) {
+      mvcc.begin = it->second;
+      mvcc.tid = storage::kTidNone;
+    } else if (prepared.count(record.tid) > 0) {
+      const storage::RowLocation loc{
+          false, entry.pending.base_delta_rows + entry.mvcc.size()};
+      in_doubt_writes[record.tid].push_back({record.table_id, loc, false});
+    }
+    entry.mvcc.push_back(mvcc);
+    entry.pending.rows.push_back(PendingRow{std::move(ids)});
+  };
+
+  wal::LogReader reader(&device);
+  auto apply = [&](const wal::LogRecord& record) -> Status {
+    switch (record.type) {
+      case wal::RecordType::kInsert: {
+        HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
+                                   staged_for(record.table_id));
+        storage::Table* table = entry->pending.table;
+        if (record.values.size() != table->schema().num_columns()) {
+          return Status::Corruption("logged insert arity mismatch");
+        }
+        // Encode now, while analysis is single-threaded: GetOrInsert in
+        // log order builds the same dictionaries the live engine did, and
+        // after this pass they are read-only until every row is restored
+        // — restores become plain cell stores.
+        std::vector<storage::ValueId> ids;
+        ids.reserve(record.values.size());
+        for (size_t c = 0; c < record.values.size(); ++c) {
+          auto id = table->delta().column(c).dictionary().GetOrInsert(
+              record.values[c]);
+          if (!id.ok()) return id.status();
+          ids.push_back(*id);
+        }
+        stage(*entry, record, std::move(ids));
+        break;
+      }
+      case wal::RecordType::kInsertEncoded: {
+        HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
+                                   staged_for(record.table_id));
+        storage::Table* table = entry->pending.table;
+        if (record.value_ids.size() != table->schema().num_columns()) {
+          return Status::InvalidArgument("encoded row arity mismatch");
+        }
+        for (size_t c = 0; c < record.value_ids.size(); ++c) {
+          // Dictionary adds precede the inserts that use them in the
+          // log and are applied eagerly, so the bound is already final.
+          if (record.value_ids[c] >=
+              table->delta().column(c).dictionary().size()) {
+            return Status::Corruption("encoded id beyond dictionary");
+          }
+        }
+        stage(*entry, record, record.value_ids);
+        break;
+      }
+      case wal::RecordType::kDictAdd: {
+        auto table = catalog.GetTableById(record.table_id);
+        if (!table.ok()) return table.status();
+        if (record.column >= (*table)->schema().num_columns()) {
+          return Status::Corruption("dict-add column out of range");
+        }
+        auto id = (*table)
+                      ->delta()
+                      .column(record.column)
+                      .dictionary()
+                      .GetOrInsert(record.dict_value);
+        if (!id.ok()) return id.status();
+        break;
+      }
+      case wal::RecordType::kDelete: {
+        auto it = committed.find(record.tid);
+        const bool in_doubt =
+            it == committed.end() && prepared.count(record.tid) > 0;
+        if (it == committed.end() && !in_doubt) {
+          break;  // uncommitted delete: no-op
+        }
+        HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
+                                   staged_for(record.table_id));
+        const uint64_t base = entry->pending.base_delta_rows;
+        // A row from the checkpoint is stamped in storage directly; a row
+        // staged earlier in this scan gets the stamp folded into its
+        // staged entry before it is appended.
+        const bool checkpointed = record.loc.in_main || record.loc.row < base;
+        storage::MvccEntry* mvcc = nullptr;
+        if (checkpointed) {
+          const uint64_t rows = record.loc.in_main
+                                    ? entry->pending.table->main_row_count()
+                                    : base;
+          if (record.loc.row < rows) {
+            mvcc = entry->pending.table->mvcc(record.loc);
+          }
+        } else if (record.loc.row - base < entry->mvcc.size()) {
+          mvcc = &entry->mvcc[record.loc.row - base];
+        }
+        if (mvcc == nullptr) {
+          return Status::Corruption("logged delete references bad row");
+        }
+        if (in_doubt) {
+          // In-doubt delete: claim the row (it stays visible but locked
+          // against other writers) until the decision lands.
+          mvcc->tid = record.tid;
+          in_doubt_writes[record.tid].push_back(
+              {record.table_id, record.loc, true});
+        } else {
+          mvcc->end = it->second;
+          mvcc->tid = storage::kTidNone;
+        }
+        if (checkpointed) region.Persist(mvcc, sizeof(*mvcc));
+        break;
+      }
+      case wal::RecordType::kCreateTable: {
+        auto schema_result = storage::Schema::Deserialize(
+            record.schema_blob.data(), record.schema_blob.size());
+        if (!schema_result.ok()) return schema_result.status();
+        HYRISE_NV_RETURN_NOT_OK(
+            catalog
+                .RestoreTable(record.table_name, *schema_result,
+                              record.table_id)
+                .status());
+        break;
+      }
+      case wal::RecordType::kCreateIndex: {
+        auto table = catalog.GetTableById(record.table_id);
+        if (!table.ok()) return table.status();
+        index.indexed_columns.push_back(
+            {(*table)->name(), record.column, record.index_kind});
+        break;
+      }
+      case wal::RecordType::kCommit:
+      case wal::RecordType::kAbort:
+      case wal::RecordType::kPrepare:
+        break;
+    }
+    return Status::OK();
+  };
+  HYRISE_NV_ASSIGN_OR_RETURN(report.replayed_records,
+                             reader.ForEach(offset, apply));
+  tracer.End();
+
+  // Append the staged placeholder rows.
+  tracer.Begin("reserve");
+  for (StagedTable& entry : staged) {
+    if (entry.pending.rows.empty()) continue;
+    HYRISE_NV_RETURN_NOT_OK(
+        entry.pending.table->ReservePlaceholderRows(entry.mvcc));
+    report.deferred_rows += entry.pending.rows.size();
+    index.tables.push_back(std::move(entry.pending));
+  }
+  tracer.End();
+
+  report.committed_txns = committed.size();
+  for (const auto& [tid, gtid] : prepared) {
+    report.in_doubt.push_back({tid, gtid, std::move(in_doubt_writes[tid])});
+  }
+
+  // Advance transaction state beyond anything the log used.
+  auto* block = txn_manager.commit_table().block();
+  if (max_cid >= block->commit_watermark) {
+    region.AtomicPersist64(&block->commit_watermark, max_cid);
+  }
+  if (max_cid + 1 > block->cid_block) {
+    region.AtomicPersist64(&block->cid_block, max_cid + 1);
+  }
+  if (max_tid + 1 > block->tid_block) {
+    region.AtomicPersist64(&block->tid_block, max_tid + 1);
+  }
+  return Status::OK();
+}
+
+Status RestorePendingRow(TablePending& pending, uint32_t ordinal) {
+  PendingRow& row = pending.rows[ordinal];
+  storage::Table* table = pending.table;
+  const uint64_t delta_row = pending.base_delta_rows + ordinal;
+  const size_t columns = table->schema().num_columns();
+  for (size_t c = 0; c < columns; ++c) {
+    HYRISE_NV_RETURN_NOT_OK(
+        table->delta().column(c).RestoreEncodedAt(delta_row, row.ids[c]));
+  }
+  // One fence for the row's flushed cells.
+  table->heap().region().Fence();
+  // The payload is applied; free it.
+  row.ids.clear();
+  row.ids.shrink_to_fit();
+  return Status::OK();
 }
 
 }  // namespace hyrise_nv::recovery

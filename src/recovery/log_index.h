@@ -1,11 +1,10 @@
 #ifndef HYRISE_NV_RECOVERY_LOG_INDEX_H_
 #define HYRISE_NV_RECOVERY_LOG_INDEX_H_
 
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/pheap.h"
+#include "obs/trace.h"
 #include "recovery/log_recovery.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -32,51 +31,63 @@ struct PendingRow {
 /// single value is restored.
 struct TablePending {
   storage::Table* table = nullptr;
-  uint64_t table_id = 0;
   uint64_t base_delta_rows = 0;
   std::vector<PendingRow> rows;
-  /// Per key column: value -> pending ordinals, ordered so range scans
-  /// can walk [lo, hi]. Built for every logged/checkpointed indexed
-  /// column (column 0 when the table has none), so degraded point and
-  /// range scans restore only the rows they touch. Scans on other
-  /// columns fall back to restoring the whole table.
-  std::unordered_map<uint32_t,
-                     std::map<storage::Value, std::vector<uint32_t>>>
-      key_maps;
 };
 
-/// Result of the analysis pass: everything the RecoveryDriver needs to
-/// serve degraded and drain the rest in the background.
+/// What the log pass produces: the staged rows, the index builds that
+/// must wait until every row holds its value, and the report.
 struct LogIndex {
   std::vector<TablePending> tables;
-  /// Index builds deferred to drain completion (eager replay's phase 3
-  /// runs them before serving; on-demand runs them after the last row is
-  /// restored, since a group-key/hash build must see real values).
+  /// Indexes from the checkpoint and the log's create-index records. They
+  /// are built after the last row is restored, since a group-key or hash
+  /// build must see real values.
   std::vector<wal::CheckpointInfo::IndexedColumn> indexed_columns;
-  uint64_t total_pending_rows = 0;
+  /// Where the log pass starts: the checkpoint's log offset, or 0.
+  uint64_t replay_offset = 0;
   LogRecoveryReport report;
 };
 
-/// Serve-during-recovery analysis pass. Mirrors RecoverFromLog's phase
-/// structure — checkpoint load (with the same corrupt-checkpoint
-/// fallback), then a two-pass log scan — but instead of eagerly applying
-/// insert values it:
+/// First step of log recovery: loads the latest checkpoint into the
+/// freshly formatted heap. A corrupt checkpoint falls back to the whole
+/// log from offset 0, as long as the catalog is still empty (the log then
+/// reproduces everything); otherwise the corruption is an error.
+Result<LogIndex> LoadLogCheckpoint(alloc::PHeap& heap,
+                                   storage::Catalog& catalog,
+                                   txn::TxnManager& txn_manager,
+                                   const wal::LogManagerOptions& options);
+
+/// The one log-replay pass, shared by eager and on-demand recovery (they
+/// differ only in when the engine opens; DESIGN.md §13). A two-pass scan
+/// from `index.replay_offset`: pass one (span "scan_commits") collects
+/// committed and prepared-but-undecided transactions; pass two (span
+/// "apply") then
 ///  - applies DDL (create table), every dictionary add (dictionary order
 ///    is on-wire state the dict-encoded log depends on), and committed
 ///    deletes eagerly, and encodes value-logged payloads into the delta
-///    dictionaries in log order (same contents eager replay builds), so
-///    dictionaries are complete — and thereafter read-only — before the
-///    engine serves a single degraded query;
-///  - appends each logged insert as a placeholder row whose MVCC entry
+///    dictionaries in log order, so dictionaries are complete — and
+///    thereafter read-only — before the engine serves a single query;
+///  - stages each logged insert as a placeholder row whose MVCC entry
 ///    already carries its final begin/end stamps (committed map applied,
 ///    deletes folded in), keeping logged row positions faithful;
-///  - stages the insert payloads in a per-table / per-key index of
-///    unreplayed records for the RecoveryDriver.
-/// After AnalyzeLog the engine can open in kServingDegraded: counts and
-/// visibility are exact, only value reads need on-demand restoration.
-Result<LogIndex> AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
-                            txn::TxnManager& txn_manager,
-                            const wal::LogManagerOptions& options);
+///  - leaves the inserts of in-doubt 2PC transactions invisible and
+///    claimed, claims the rows they delete, and records their write sets
+///    in `index.report.in_doubt` for adoption.
+/// Finally (span "reserve") the placeholder rows are appended and the
+/// transaction state advances past everything the log used. Afterwards
+/// counts and visibility are exact; only value reads need the staged
+/// rows restored (RestorePendingRow).
+Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
+                  txn::TxnManager& txn_manager,
+                  const wal::LogManagerOptions& options,
+                  obs::SpanTracer& tracer, LogIndex& index);
+
+/// Writes staged row `ordinal`'s ids into its placeholder cells and frees
+/// the payload. A pure attribute-cell store: analysis already encoded the
+/// row, so a restore never grows a dictionary. The caller serializes
+/// restores of one table (the RecoveryDriver holds its write mutex; the
+/// eager open restores every row on its own thread before serving).
+Status RestorePendingRow(TablePending& pending, uint32_t ordinal);
 
 }  // namespace hyrise_nv::recovery
 

@@ -1,24 +1,21 @@
 #ifndef HYRISE_NV_RECOVERY_LOG_RECOVERY_H_
 #define HYRISE_NV_RECOVERY_LOG_RECOVERY_H_
 
-#include <memory>
-#include <string>
+#include <cstdint>
+#include <vector>
 
-#include "alloc/pheap.h"
-#include "obs/trace.h"
-#include "storage/catalog.h"
-#include "txn/txn_manager.h"
-#include "wal/log_manager.h"
+#include "storage/types.h"
 
 namespace hyrise_nv::recovery {
 
-/// Phase timings + volumes of a log-based recovery. The three phases are
-/// exactly the costs instant restart avoids (experiment E5).
+/// Phase timings + volumes of a log-based recovery. The three eager
+/// phases are exactly the costs instant restart avoids (experiment E5).
+/// Each phase equals the span of the same name in the open's trace
+/// (RecoveryReport::trace).
 struct LogRecoveryReport {
   double checkpoint_load_seconds = 0;
   double replay_seconds = 0;
   double index_rebuild_seconds = 0;
-  double total_seconds = 0;
   uint64_t checkpoint_bytes = 0;
   uint64_t replayed_records = 0;
   uint64_t log_bytes_scanned = 0;
@@ -28,22 +25,18 @@ struct LogRecoveryReport {
   /// covers everything (an empty catalog before replay); a corrupt
   /// checkpoint whose data the log cannot reproduce stays an error.
   bool checkpoint_fallback = false;
-  /// Nested timed spans ("log_recovery" root with checkpoint_load /
-  /// replay{scan_commits, apply} / index_rebuild children). The phase
-  /// seconds above are derived from this tree.
-  obs::SpanNode trace;
-  /// Serve-during-recovery (AnalyzeLog) opens fill these instead of
-  /// replay/index_rebuild: the analysis pass stages `deferred_rows`
-  /// pending rows and the engine opens degraded after
-  /// `analysis_seconds`; value restoration and index builds happen
-  /// on demand / in the background drain.
+  /// Serve-during-recovery opens fill these instead of replay and
+  /// index_rebuild: the engine opens degraded after `analysis_seconds`
+  /// with the `deferred_rows` staged rows still placeholders; value
+  /// restoration and index builds happen on demand / in the background
+  /// drain.
   bool on_demand = false;
   double analysis_seconds = 0;
   uint64_t deferred_rows = 0;
   /// Prepared-but-undecided 2PC transactions found in the log (a kPrepare
-  /// record with no following kCommit/kAbort for the same tid). Replay
-  /// leaves their effects invisible but claimed; the engine adopts them
-  /// as in-doubt transactions awaiting a coordinator decision.
+  /// record with no following kCommit/kAbort for the same tid). The
+  /// analysis pass leaves their effects invisible but claimed; the engine
+  /// adopts them as in-doubt transactions awaiting a coordinator decision.
   struct InDoubtWrite {
     uint64_t table_id;
     storage::RowLocation loc;
@@ -56,33 +49,6 @@ struct LogRecoveryReport {
   };
   std::vector<InDoubtTxn> in_doubt;
 };
-
-/// Records the checkpoint-fallback decision (blackbox event + metric) so
-/// forensics can distinguish "checkpoint ignored" restarts from normal
-/// ones. Shared by eager replay and the on-demand analysis pass.
-void NoteCheckpointFallback(alloc::PHeap& heap);
-
-/// Rebuilds the database state from checkpoint + log into the (freshly
-/// formatted) heap:
-///  1. load the latest checkpoint, if any;
-///  2. two-pass log replay from the checkpoint's offset — pass one finds
-///     committed transactions, pass two re-applies *all* inserts (to keep
-///     row positions faithful) and stamps only the committed ones;
-///  3. rebuild every index (group-key CSR over main + hash over delta).
-///
-/// Cost is linear in data size: exactly the behaviour experiment E1
-/// measures against instant restart.
-Result<LogRecoveryReport> RecoverFromLog(alloc::PHeap& heap,
-                                         storage::Catalog& catalog,
-                                         txn::TxnManager& txn_manager,
-                                         const wal::LogManagerOptions& options);
-
-/// Cheap sequential scan: does the log hold any prepared-but-undecided
-/// 2PC transaction? Serve-during-recovery opens check this first — an
-/// in-doubt transaction needs the full eager replay machinery (claims +
-/// write-set reconstruction), so such opens fall back to eager replay
-/// (DESIGN.md §16). Returns false when the log does not exist.
-Result<bool> LogHasInDoubt(const wal::LogManagerOptions& options);
 
 }  // namespace hyrise_nv::recovery
 

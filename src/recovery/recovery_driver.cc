@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <mutex>
+#include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/blackbox.h"
@@ -14,11 +16,27 @@ RecoveryDriver::RecoveryDriver(alloc::PHeap& heap, LogIndex index,
                                RecoveryDriverOptions options)
     : heap_(&heap), options_(std::move(options)) {
   if (options_.drain_chunk_rows == 0) options_.drain_chunk_rows = 1;
+  std::unordered_map<std::string, std::set<uint32_t>> key_columns;
+  for (const auto& indexed : index.indexed_columns) {
+    key_columns[indexed.table].insert(static_cast<uint32_t>(indexed.column));
+  }
   states_.reserve(index.tables.size());
   for (TablePending& pending : index.tables) {
     auto state = std::make_unique<TableState>();
     state->pending = std::move(pending);
     const size_t n = state->pending.rows.size();
+    const storage::Table& table = *state->pending.table;
+    std::set<uint32_t>& cols = key_columns[table.name()];
+    if (cols.empty()) cols.insert(0);
+    for (uint32_t col : cols) {
+      if (col >= table.schema().num_columns()) continue;
+      auto& key_map = state->key_maps[col];
+      const auto& dict = table.delta().column(col).dictionary();
+      for (uint32_t ordinal = 0; ordinal < n; ++ordinal) {
+        key_map[dict.GetValue(state->pending.rows[ordinal].ids[col])]
+            .push_back(ordinal);
+      }
+    }
     // Value-initialised: every flag starts 0 (unrestored).
     state->restored = std::make_unique<std::atomic<uint8_t>[]>(n);
     total_rows_ += n;
@@ -68,20 +86,10 @@ Status RecoveryDriver::RestoreRowLocked(TableState& state, uint32_t ordinal,
   if (state.restored[ordinal].load(std::memory_order_relaxed) != 0) {
     return Status::OK();
   }
-  PendingRow& row = state.pending.rows[ordinal];
-  storage::Table* table = state.pending.table;
-  const uint64_t delta_row = state.pending.base_delta_rows + ordinal;
-  const size_t columns = table->schema().num_columns();
-  // Analysis already encoded every staged row, so a restore is a pure
-  // attribute-cell store: it never grows a dictionary, which is what
-  // keeps concurrent degraded readers safe on the dictionary vectors.
-  for (size_t c = 0; c < columns; ++c) {
-    HYRISE_NV_RETURN_NOT_OK(
-        table->delta().column(c).RestoreEncodedAt(delta_row, row.ids[c]));
-  }
-  // The payload is applied; free it — the key maps hold ordinals only.
-  row.ids.clear();
-  row.ids.shrink_to_fit();
+  // A pure attribute-cell store that never grows a dictionary, which is
+  // what keeps concurrent degraded readers safe on the dictionary
+  // vectors. The key maps hold ordinals only, so the payload can go.
+  HYRISE_NV_RETURN_NOT_OK(RestorePendingRow(state.pending, ordinal));
   state.restored[ordinal].store(1, std::memory_order_relaxed);
   // Release: the all-restored fast path's acquire load of these counters
   // must observe the value writes above without taking the mutex.
@@ -116,8 +124,8 @@ Status RecoveryDriver::PrepareScanEqual(storage::Table* table, size_t column,
     return Status::OK();
   }
   std::lock_guard<std::mutex> guard(table->write_mutex());
-  auto map_it = state->pending.key_maps.find(static_cast<uint32_t>(column));
-  if (map_it == state->pending.key_maps.end()) {
+  auto map_it = state->key_maps.find(static_cast<uint32_t>(column));
+  if (map_it == state->key_maps.end()) {
     return RestoreAllRowsLocked(*state, /*on_demand=*/true);
   }
   auto value_it = map_it->second.find(value);
@@ -139,8 +147,8 @@ Status RecoveryDriver::PrepareScanRange(storage::Table* table, size_t column,
     return Status::OK();
   }
   std::lock_guard<std::mutex> guard(table->write_mutex());
-  auto map_it = state->pending.key_maps.find(static_cast<uint32_t>(column));
-  if (map_it == state->pending.key_maps.end()) {
+  auto map_it = state->key_maps.find(static_cast<uint32_t>(column));
+  if (map_it == state->key_maps.end()) {
     return RestoreAllRowsLocked(*state, /*on_demand=*/true);
   }
   // std::variant's operator< orders same-type keys exactly like

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -99,6 +100,14 @@ class RecoveryDriver {
  private:
   struct TableState {
     TablePending pending;
+    /// Per key column: value -> pending ordinals, ordered so range scans
+    /// can walk [lo, hi]. Built for every indexed column (column 0 when
+    /// the table has none), so degraded point and range scans restore
+    /// only the rows they touch. Scans on other columns fall back to
+    /// restoring the whole table.
+    std::unordered_map<uint32_t,
+                       std::map<storage::Value, std::vector<uint32_t>>>
+        key_maps;
     std::unique_ptr<std::atomic<uint8_t>[]> restored;
     std::atomic<uint64_t> restored_count{0};
   };

@@ -89,6 +89,18 @@ const uint8_t* ContentOf(const nvm::PmemRegion& region,
   return region.base() + slot.data;
 }
 
+/// Whether `payload` is the payload offset of a block the allocator has
+/// handed out. A published structure on a free block would be handed out
+/// again by the next allocation of its size class.
+bool IsAllocatedBlock(const nvm::PmemRegion& region, uint64_t payload) {
+  if (payload < sizeof(alloc::BlockHeader)) return false;
+  const auto* block = At<alloc::BlockHeader>(
+      region, payload - sizeof(alloc::BlockHeader), 1);
+  return block != nullptr &&
+         block->magic == alloc::BlockHeader::kMagicValue &&
+         block->state == alloc::BlockHeader::kStateAllocated;
+}
+
 /// Structural + seal check of one descriptor. Returns false (and records
 /// a finding) when the committed content is unusable.
 bool CheckDesc(Ctx& ctx, const PVectorDesc& desc, uint64_t elem_size,
@@ -112,6 +124,11 @@ bool CheckDesc(Ctx& ctx, const PVectorDesc& desc, uint64_t elem_size,
                  what + ": buffer at " + std::to_string(slot.data) +
                      " (capacity " + std::to_string(slot.capacity) +
                      ") out of range");
+      healthy = false;
+    } else if (!IsAllocatedBlock(*ctx.region, slot.data)) {
+      AddFinding(ctx, "pvector_descriptor", FindingSeverity::kTable,
+                 what + ": buffer at " + std::to_string(slot.data) +
+                     " is not an allocated block");
       healthy = false;
     }
   }
@@ -247,6 +264,14 @@ void VerifyCommitTable(Ctx& ctx) {
     healthy = false;
   }
   for (const auto& slot : block->slots) {
+    if (slot.touch_off != 0 && !IsAllocatedBlock(region, slot.touch_off)) {
+      // The next commit through this slot would write its touch list
+      // into a block the allocator may hand out again.
+      AddFinding(ctx, "commit_table", FindingSeverity::kWriteHazard,
+                 "commit slot touch buffer at " +
+                     std::to_string(slot.touch_off) +
+                     " is not an allocated block");
+    }
     if (slot.state != txn::PCommitSlot::kFree &&
         slot.state != txn::PCommitSlot::kCommitting &&
         slot.state != txn::PCommitSlot::kPrepared) {
@@ -813,6 +838,11 @@ void VerifyTable(Ctx& ctx, uint64_t meta_off) {
     return;
   }
   if (meta->name[0] != '\0') ctx.table_name = meta->name;
+  if (!IsAllocatedBlock(region, meta_off)) {
+    AddFinding(ctx, "table_meta", FindingSeverity::kTable,
+               "table metadata at " + std::to_string(meta_off) +
+                   " is not an allocated block");
+  }
 
   // Schema: must deserialize and agree with the recorded column count.
   ++ctx.report->structures_checked;
@@ -849,6 +879,11 @@ void VerifyTable(Ctx& ctx, uint64_t meta_off) {
     AddFinding(ctx, "table_meta", FindingSeverity::kTable,
                "table group outside the heap");
     return;
+  }
+  if (!IsAllocatedBlock(region, meta->group_off)) {
+    AddFinding(ctx, "table_meta", FindingSeverity::kTable,
+               "table group at " + std::to_string(meta->group_off) +
+                   " is not an allocated block");
   }
   const auto& group = *reinterpret_cast<const PTableGroup*>(group_bytes);
   auto& mutable_group = const_cast<PTableGroup&>(group);

@@ -77,13 +77,16 @@ Result<Table*> Catalog::RestoreTable(const std::string& name,
   if (!meta_off_result.ok()) return meta_off_result.status();
 
   // The catalog append is the durability point of the DDL: once the
-  // offset is in the table list, the table exists across crashes.
+  // offset is in the table list, the table exists across crashes. The
+  // intent is retired first: a crash before the append then leaks the
+  // table's blocks, whereas the other order would let allocator recovery
+  // free a published table.
+  heap_->allocator().CommitIntent(publish_intent);
   Status append_status = table_offsets_.Append(*meta_off_result);
   if (!append_status.ok()) {
-    heap_->allocator().AbortIntent(publish_intent);
+    (void)heap_->allocator().Free(*meta_off_result);
     return append_status;
   }
-  heap_->allocator().CommitIntent(publish_intent);
   if (table_id + 1 > meta_->next_table_id) {
     heap_->region().AtomicPersist64(&meta_->next_table_id, table_id + 1);
   }

@@ -29,7 +29,7 @@ Status DeltaColumn::RestoreEncodedAt(uint64_t row, ValueId id) {
   if (id >= dict_.size()) {
     return Status::Corruption("restored id beyond dictionary");
   }
-  attr_.Set(row, id);
+  attr_.SetUnfenced(row, id);
   return Status::OK();
 }
 

@@ -55,9 +55,10 @@ class DeltaColumn {
   }
 
   /// Replaces the placeholder at `row` with an already-encoded id
-  /// (persisted attribute overwrite; the id must already be in the
-  /// dictionary — the recovery analysis pass encodes every staged row so
-  /// restores never mutate dictionaries under concurrent readers).
+  /// (flushed, unfenced attribute overwrite: the caller fences once per
+  /// row, as AppendRow does; the id must already be in the dictionary —
+  /// the recovery analysis pass encodes every staged row so restores
+  /// never mutate dictionaries under concurrent readers).
   Status RestoreEncodedAt(uint64_t row, ValueId id);
 
   uint64_t attr_size() const { return attr_.size(); }

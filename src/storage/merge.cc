@@ -333,10 +333,12 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
     region.Persist(new_idx, sizeof(PIndexMeta));
   }
 
-  // 6. Publish: persist the whole group, then the single atomic swap.
+  // 6. Publish: persist the whole group, retire its intent (a crash
+  //    before the swap then only leaks the group, instead of allocator
+  //    recovery freeing a published one), then the single atomic swap.
   region.Persist(new_group, PTableGroup::ByteSize(ncols));
-  region.AtomicPersist64(&table.meta()->group_off, new_group_off);
   alloc.CommitIntent(group_intent);
+  region.AtomicPersist64(&table.meta()->group_off, new_group_off);
 
   // 7. Retire the old group (best-effort; a crash here only leaks).
   for (uint64_t c = 0; c < ncols; ++c) {

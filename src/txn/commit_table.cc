@@ -84,9 +84,11 @@ Result<PCommitSlot*> CommitTable::AcquireSlot(
   PCommitSlot* slot = &block_->slots[idx];
 
   // Grow the slot's touch buffer if this commit needs more room. The
-  // slot is kFree here, so the buffer swap is not recovery-visible; the
-  // intent covers the new buffer until the slot references it. The
-  // allocator is internally synchronised, so concurrent growers are fine.
+  // slot is kFree here, so the buffer swap is not recovery-visible. The
+  // intent is retired before the slot references the new buffer: a crash
+  // in between leaks it, whereas the other order would let allocator
+  // recovery free a buffer the slot names. The allocator is internally
+  // synchronised, so concurrent growers are fine.
   if (touches.size() > slot->touch_capacity) {
     const uint64_t new_capacity =
         std::max<uint64_t>(touches.size() * 2, 64);
@@ -98,10 +100,10 @@ Result<PCommitSlot*> CommitTable::AcquireSlot(
       return off_result.status();
     }
     const uint64_t old_off = slot->touch_off;
+    heap_->allocator().CommitIntent(intent);
     slot->touch_off = *off_result;
     slot->touch_capacity = new_capacity;
     heap_->region().Persist(slot, sizeof(PCommitSlot));
-    heap_->allocator().CommitIntent(intent);
     if (old_off != 0) {
       (void)heap_->allocator().Free(old_off);
     }

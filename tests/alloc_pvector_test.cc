@@ -123,6 +123,52 @@ TEST_F(PVectorTest, CrashDuringGrowthKeepsOldOrNewStateConsistent) {
   }
 }
 
+/// Cuts durability at every fence of one growth (16 -> 32 elements),
+/// crashes, and runs allocator recovery. Whatever the cut, the descriptor
+/// names a buffer that is still allocated and holds the committed
+/// elements: the growth retires its allocation intent before publishing,
+/// so a cut in between only leaks the new buffer.
+TEST(PVectorCrashTest, FenceCutSweepAcrossGrowth) {
+  bool saw_old_buffer = false;
+  bool saw_new_buffer = false;
+  uint64_t complete_runs = 0;
+  for (uint64_t cut = 0; complete_runs < 2; ++cut) {
+    ASSERT_LT(cut, 100u) << "sweep never reached an uncut run";
+    nvm::PmemRegionOptions opts;
+    opts.tracking = nvm::TrackingMode::kShadow;
+    auto heap = std::move(PHeap::Create(1 << 20, opts)).ValueUnsafe();
+    auto* desc = heap->Resolve<PVectorDesc>(
+        *heap->allocator().Alloc(sizeof(PVectorDesc)));
+    PVector<uint64_t>::Format(heap->region(), desc);
+    {
+      PVector<uint64_t> vec(&heap->region(), &heap->allocator(), desc);
+      for (uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(vec.Append(i).ok());
+      ASSERT_EQ(vec.capacity(), 16u);
+      heap->region().FreezeShadowAfterFences(cut);
+      ASSERT_TRUE(vec.Append(16).ok());
+      if (!heap->region().shadow_frozen()) ++complete_runs;
+    }
+    ASSERT_TRUE(heap->region().SimulateCrash().ok());
+    PAllocator recovered(heap->region());
+    ASSERT_TRUE(recovered.Recover().ok());
+
+    PVector<uint64_t> vec(&heap->region(), &recovered, desc);
+    ASSERT_TRUE(vec.Validate().ok()) << "cut " << cut;
+    const uint64_t data = desc->slots[desc->version & 1].data;
+    const auto* block = heap->Resolve<BlockHeader>(data - sizeof(BlockHeader));
+    ASSERT_EQ(block->state, BlockHeader::kStateAllocated)
+        << "cut " << cut << " left the descriptor on a free block";
+    ASSERT_GE(vec.size(), 16u) << "cut " << cut;
+    for (uint64_t i = 0; i < vec.size(); ++i) {
+      ASSERT_EQ(vec.Get(i), i) << "cut " << cut;
+    }
+    saw_old_buffer |= vec.capacity() == 16;
+    saw_new_buffer |= vec.capacity() == 32;
+  }
+  EXPECT_TRUE(saw_old_buffer) << "no cut before the publish";
+  EXPECT_TRUE(saw_new_buffer) << "no cut after the publish";
+}
+
 TEST_F(PVectorTest, TruncateToRollsBack) {
   ASSERT_TRUE(vec_.AppendFill(5, 100).ok());
   vec_.TruncateTo(60);

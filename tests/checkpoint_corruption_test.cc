@@ -234,6 +234,68 @@ TEST_F(WalCorruptionTest, CorruptNvmImageFallsBackToWal) {
             30u);
 }
 
+/// The rebuilt image must carry everything an eager log recovery
+/// produces: the logged index (built into the image, so the re-open's
+/// instant restart finds it) and a prepared-but-undecided 2PC
+/// transaction (sealed into a prepared commit slot, because the log that
+/// recorded it is retired).
+TEST_F(WalCorruptionTest, CorruptNvmImageRebuildKeepsIndexAndInDoubt) {
+  auto options = WalOptions("nvm_fallback_2pc_test");
+  const uint64_t gtid = (1ull << 32) | 7;
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(db->InsertAutoCommit(table, {Value(int64_t{i}),
+                                               Value(std::string("w"))})
+                      .ok());
+    }
+    auto tx = db->Begin();
+    ASSERT_TRUE(tx.ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(db->Insert(*tx, table,
+                             {Value(int64_t{100}), Value(std::string("p"))})
+                      .ok());
+    }
+    ASSERT_TRUE(db->Prepare(*tx, gtid).ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  DatabaseOptions nvm_options = options;
+  nvm_options.mode = DurabilityMode::kNvm;
+  nvm_options.tracking = nvm::TrackingMode::kNone;
+  {
+    auto db = std::move(Database::Create(nvm_options)).ValueUnsafe();
+    ASSERT_TRUE(db->Close().ok());
+  }
+  FlipByteInFile(nvm_options.NvmImagePath(), 1);
+
+  const auto key_count = [](Database* db, int64_t key) {
+    storage::Table* table = *db->GetTable("kv");
+    auto rows = db->ScanEqual(table, 0, Value(key), db->ReadSnapshot(),
+                              storage::kTidNone);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? rows->size() : 0;
+  };
+  {
+    auto db = std::move(Database::Open(nvm_options)).ValueUnsafe();
+    EXPECT_TRUE(db->last_recovery_report().fell_back_to_log);
+    EXPECT_TRUE(db->indexes(*db->GetTable("kv"))->HasIndex(0));
+    EXPECT_EQ(db->InDoubtGtids(), std::vector<uint64_t>{gtid});
+    EXPECT_EQ(key_count(db.get(), 5), 1u);
+    EXPECT_EQ(key_count(db.get(), 100), 0u);
+    ASSERT_TRUE(db->Close().ok());
+  }
+  auto db = std::move(Database::Open(nvm_options)).ValueUnsafe();
+  EXPECT_FALSE(db->last_recovery_report().fell_back_to_log);
+  EXPECT_TRUE(db->indexes(*db->GetTable("kv"))->HasIndex(0));
+  EXPECT_EQ(db->InDoubtGtids(), std::vector<uint64_t>{gtid});
+  ASSERT_TRUE(db->Decide(gtid, /*commit=*/true).ok());
+  EXPECT_EQ(key_count(db.get(), 100), 2u);
+  EXPECT_EQ(key_count(db.get(), 29), 1u);
+  ASSERT_TRUE(db->Close().ok());
+}
+
 /// Rewrites the image's region format version in place, leaving a
 /// header exactly like one an older build would have written.
 void SetFormatVersion(const std::string& path, uint32_t version) {

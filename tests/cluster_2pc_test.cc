@@ -33,6 +33,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cluster/decision_log.h"
@@ -271,6 +272,147 @@ TEST_P(Engine2pcTest, MergeAndCheckpointRefusedWhileInDoubt) {
 INSTANTIATE_TEST_SUITE_P(Modes, Engine2pcTest,
                          ::testing::Values(DurabilityMode::kNvm,
                                            DurabilityMode::kWalValue,
+                                           DurabilityMode::kWalDict));
+
+/// The in-doubt scenario under serve-on-demand recovery. The log pass
+/// itself adopts prepared transactions, so the open stays on demand: the
+/// in-doubt inserts stay claimed placeholders, and the in-doubt deletes
+/// claim a checkpointed row and a row only the log holds.
+class Engine2pcOnDemandTest : public Engine2pcTest {
+ protected:
+  DatabaseOptions MakeOnDemandOptions() {
+    DatabaseOptions options = MakeOptions();
+    options.log_recovery = core::LogRecoveryPolicy::kServeOnDemand;
+    // One row per chunk with a pause: decisions land while degraded.
+    options.drain_chunk_rows = 1;
+    options.drain_pause_us = 50'000;
+    return options;
+  }
+
+  /// Delta rows still invisible (begin = ∞) under a live transaction's
+  /// claim: the placeholders of in-doubt inserts.
+  static size_t ClaimedInvisibleRows(Database* db, storage::Table* table) {
+    size_t claimed = 0;
+    for (uint64_t r = 0; r < table->delta_row_count(); ++r) {
+      const storage::MvccEntry* entry = table->mvcc({false, r});
+      if (entry->begin == storage::kCidInfinity &&
+          db->txn_manager().IsActive(entry->tid)) {
+        ++claimed;
+      }
+    }
+    return claimed;
+  }
+
+  /// Whether a fresh transaction may delete the one visible row of `key`
+  /// (it is aborted either way, so nothing changes).
+  static bool CanDelete(Database* db, storage::Table* table, int64_t key) {
+    auto tx = db->Begin();
+    EXPECT_TRUE(tx.ok());
+    auto rows = db->ScanEqual(table, 0, Value(key), tx->snapshot(),
+                              tx->tid());
+    EXPECT_TRUE(rows.ok() && rows->size() == 1) << "key " << key;
+    const bool deleted =
+        rows.ok() && !rows->empty() && db->Delete(*tx, table, (*rows)[0]).ok();
+    EXPECT_TRUE(db->Abort(*tx).ok());
+    return deleted;
+  }
+};
+
+TEST_P(Engine2pcOnDemandTest, InDoubtSurvivesCrashAndConvergesBothWays) {
+  const DatabaseOptions options = MakeOnDemandOptions();
+  auto db_result = Database::Create(options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto db = std::move(*db_result);
+  auto table_result = db->CreateTable(
+      "kv", *storage::Schema::Make(
+                {{"k", DataType::kInt64}, {"v", DataType::kString}}));
+  ASSERT_TRUE(table_result.ok());
+  storage::Table* table = *table_result;
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
+
+  // Key 300 reaches the checkpoint; key 400 only the log.
+  ASSERT_TRUE(db->InsertAutoCommit(
+                    table, {Value(int64_t{300}), Value(std::string("c"))})
+                  .ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(db->InsertAutoCommit(
+                    table, {Value(int64_t{400}), Value(std::string("l"))})
+                  .ok());
+
+  // Two prepared transactions in flight at the crash, each inserting two
+  // rows and deleting one committed row.
+  const uint64_t commit_gtid = (1ull << 32) | 20;
+  const uint64_t abort_gtid = (1ull << 32) | 21;
+  for (const auto& [key, deleted_key, gtid] :
+       {std::tuple<int64_t, int64_t, uint64_t>{100, 300, commit_gtid},
+        std::tuple<int64_t, int64_t, uint64_t>{200, 400, abort_gtid}}) {
+    auto tx = db->Begin();
+    ASSERT_TRUE(tx.ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          db->Insert(*tx, table, {Value(key), Value(std::string("p"))}).ok());
+    }
+    auto victim = db->ScanEqual(table, 0, Value(deleted_key),
+                                tx->snapshot(), tx->tid());
+    ASSERT_TRUE(victim.ok() && victim->size() == 1);
+    ASSERT_TRUE(db->Delete(*tx, table, (*victim)[0]).ok());
+    ASSERT_TRUE(db->Prepare(*tx, gtid).ok());
+  }
+
+  auto recovered_result = Database::CrashAndRecover(std::move(db));
+  ASSERT_TRUE(recovered_result.ok())
+      << recovered_result.status().ToString();
+  auto recovered = std::move(*recovered_result);
+  EXPECT_TRUE(recovered->last_recovery_report().log.on_demand);
+  EXPECT_EQ(recovered->serving_state(), core::ServingState::kServingDegraded);
+  auto rtable = recovered->GetTable("kv");
+  ASSERT_TRUE(rtable.ok());
+
+  // Both survive the crash in doubt: inserts invisible and claimed,
+  // deleted rows still visible but claimed against other writers.
+  std::vector<uint64_t> in_doubt = recovered->InDoubtGtids();
+  std::sort(in_doubt.begin(), in_doubt.end());
+  EXPECT_EQ(in_doubt, (std::vector<uint64_t>{commit_gtid, abort_gtid}));
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 100), 0u);
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 200), 0u);
+  EXPECT_EQ(ClaimedInvisibleRows(recovered.get(), *rtable), 4u);
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 300), 1u);
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 400), 1u);
+  EXPECT_FALSE(CanDelete(recovered.get(), *rtable, 300));
+  EXPECT_FALSE(CanDelete(recovered.get(), *rtable, 400));
+
+  // Converge one each way while still degraded.
+  ASSERT_TRUE(recovered->Decide(commit_gtid, /*commit=*/true).ok());
+  ASSERT_TRUE(recovered->Decide(abort_gtid, /*commit=*/false).ok());
+  EXPECT_TRUE(recovered->InDoubtGtids().empty());
+  EXPECT_EQ(ClaimedInvisibleRows(recovered.get(), *rtable), 0u);
+  const auto expect_converged = [this](Database* db, storage::Table* t) {
+    EXPECT_EQ(VisibleCount(db, t, 100), 2u);
+    EXPECT_EQ(VisibleCount(db, t, 200), 0u);
+    EXPECT_EQ(VisibleCount(db, t, 300), 0u);
+    EXPECT_EQ(VisibleCount(db, t, 400), 1u);
+    EXPECT_TRUE(CanDelete(db, t, 400));
+  };
+  expect_converged(recovered.get(), *rtable);
+  // The drain finishes and the deferred index serves the same answers.
+  ASSERT_TRUE(recovered->WaitUntilRecovered(30'000).ok());
+  expect_converged(recovered.get(), *rtable);
+
+  // And the outcome is durable across a second crash.
+  auto again_result = Database::CrashAndRecover(std::move(recovered));
+  ASSERT_TRUE(again_result.ok()) << again_result.status().ToString();
+  auto again = std::move(*again_result);
+  EXPECT_TRUE(again->last_recovery_report().log.on_demand);
+  auto atable = again->GetTable("kv");
+  ASSERT_TRUE(atable.ok());
+  EXPECT_TRUE(again->InDoubtGtids().empty());
+  expect_converged(again.get(), *atable);
+  ASSERT_TRUE(again->WaitUntilRecovered(30'000).ok());
+  ASSERT_TRUE(again->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(WalModes, Engine2pcOnDemandTest,
+                         ::testing::Values(DurabilityMode::kWalValue,
                                            DurabilityMode::kWalDict));
 
 // ---------------------------------------------------------------------------

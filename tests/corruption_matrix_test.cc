@@ -188,6 +188,34 @@ TEST_F(CorruptionMatrixTest, TableVectorDescriptorFlipDetected) {
       << report.Summary();
 }
 
+// A published buffer or group on a block the allocator considers free
+// (what allocator recovery leaves when a crash lands between a publish
+// and its intent retirement) would be handed out again.
+TEST_F(CorruptionMatrixTest, VectorBufferOnFreeBlockDetected) {
+  FlipBit(
+      [](Nav& nav) {
+        const uint64_t ncols = nav.FirstTable()->num_columns;
+        return Nav::DescData(nav.Group()->delta_col(0, ncols)->attr) -
+               sizeof(alloc::BlockHeader) +
+               offsetof(alloc::BlockHeader, state);
+      },
+      0x01);
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("pvector_descriptor"))
+      << report.Summary();
+}
+
+TEST_F(CorruptionMatrixTest, TableGroupOnFreeBlockDetected) {
+  FlipBit(
+      [](Nav& nav) {
+        return nav.FirstTable()->group_off - sizeof(alloc::BlockHeader) +
+               offsetof(alloc::BlockHeader, state);
+      },
+      0x01);
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("table_meta")) << report.Summary();
+}
+
 TEST_F(CorruptionMatrixTest, MainDictionaryContentFlipDetected) {
   FlipBit([](Nav& nav) {
     // Second dictionary entry of the int64 column's main partition.

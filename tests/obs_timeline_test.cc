@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "core/database.h"
+#include "obs/blackbox.h"
 #include "obs/metrics.h"
 
 namespace hyrise_nv::obs {
@@ -214,6 +219,43 @@ TEST(TimelineRecorderTest, CsvHasHeaderAndOneRowPerSample) {
   EXPECT_EQ(lines, 3u) << csv;  // header + 2 samples
   EXPECT_NE(csv.find("tl.test.commits"), std::string::npos);
   EXPECT_NE(csv.find("active_phases"), std::string::npos);
+}
+
+// Each background tick flushes the flight recorder: the open event,
+// recorded far short of the recorder's own flush window and before the
+// timeline thread starts, survives a power failure under the shadow
+// crash model once a tick has passed.
+TEST(TimelineRecorderTest, BackgroundTickFlushesFlightRecorder) {
+#if !HYRISE_NV_METRICS_ENABLED
+  GTEST_SKIP() << "flight-recorder writes compile out in this build";
+#endif
+  core::DatabaseOptions options;
+  options.mode = core::DurabilityMode::kNvm;
+  options.region_size = 16 << 20;
+  options.tracking = nvm::TrackingMode::kShadow;
+  options.enable_timeline = true;
+  options.timeline_interval_ms = 5;
+  auto db = std::move(core::Database::Create(options)).ValueUnsafe();
+  // A tick captures, then flushes: by the second sample the first flush
+  // is done.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db->timeline()->Samples().size() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  db->timeline()->Stop();
+  ASSERT_TRUE(db->heap().region().SimulateCrash().ok());
+
+  const BlackboxDecodeResult result =
+      DecodeBlackbox(db->heap().region().base(), db->heap().region().size());
+  ASSERT_TRUE(result.header_valid);
+  const bool survived = std::any_of(
+      result.events.begin(), result.events.end(),
+      [](const BlackboxDecodedEvent& ev) {
+        return ev.type == static_cast<uint16_t>(BlackboxEventType::kOpen);
+      });
+  EXPECT_TRUE(survived) << "the tick did not flush the recorder";
 }
 
 TEST(PhaseSpanTest, ReconstructsWindowsFromDecodedEvents) {

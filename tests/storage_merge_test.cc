@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "core/database.h"
+#include "recovery/verify.h"
 #include "storage/catalog.h"
 
 namespace hyrise_nv::storage {
@@ -182,6 +184,54 @@ TEST_F(MergeTest, MergeWithMixedTypesRoundTrips) {
     EXPECT_EQ(std::get<double>(row[1]), i * 1.5);
     EXPECT_EQ(std::get<std::string>(row[2]).size(), size_t(1 + i % 5));
   }
+}
+
+/// Cuts durability at every fence of one merge, crashes, and restarts.
+/// Whatever the cut, the table names an allocated group, the old one or
+/// the merged one, that deep-verifies clean and holds every committed
+/// row: the merge retires the new group's allocation intent before the
+/// publish, so a cut in between only leaks the group.
+TEST(MergeCrashTest, FenceCutSweepAcrossPublish) {
+  bool saw_old_group = false;
+  bool saw_new_group = false;
+  uint64_t complete_runs = 0;
+  for (uint64_t cut = 0; complete_runs < 2; ++cut) {
+    ASSERT_LT(cut, 2000u) << "sweep never reached an uncut run";
+    core::DatabaseOptions options;
+    options.mode = core::DurabilityMode::kNvm;
+    options.region_size = 4 << 20;
+    options.tracking = nvm::TrackingMode::kShadow;
+    auto db = std::move(core::Database::Create(options)).ValueUnsafe();
+    Table* table = *db->CreateTable("t", TestSchema());
+    ASSERT_TRUE(db->CreateIndex("t", 0).ok());
+    for (int64_t id = 0; id < 6; ++id) {
+      ASSERT_TRUE(db->InsertAutoCommit(
+                        table, {Value(id), Value("n" + std::to_string(id))})
+                      .ok());
+    }
+    db->heap().region().FreezeShadowAfterFences(cut);
+    ASSERT_TRUE(db->Merge("t").ok());
+    if (!db->heap().region().shadow_frozen()) ++complete_runs;
+
+    auto recovered = core::Database::CrashAndRecover(std::move(db));
+    ASSERT_TRUE(recovered.ok())
+        << "cut " << cut << ": " << recovered.status().ToString();
+    const recovery::VerifyReport report =
+        recovery::DeepVerify((*recovered)->heap().region());
+    ASSERT_TRUE(report.clean()) << "cut " << cut << ": " << report.Summary();
+    Table* rtable = *(*recovered)->GetTable("t");
+    const Cid snapshot = (*recovered)->ReadSnapshot();
+    for (int64_t id = 0; id < 6; ++id) {
+      auto rows = (*recovered)->ScanEqual(rtable, 0, Value(id), snapshot,
+                                          kTidNone);
+      ASSERT_TRUE(rows.ok());
+      ASSERT_EQ(rows->size(), 1u) << "cut " << cut << " id " << id;
+    }
+    saw_old_group |= rtable->main_row_count() == 0;
+    saw_new_group |= rtable->main_row_count() == 6;
+  }
+  EXPECT_TRUE(saw_old_group) << "no cut before the publish";
+  EXPECT_TRUE(saw_new_group) << "no cut after the publish";
 }
 
 }  // namespace
