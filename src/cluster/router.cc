@@ -217,14 +217,8 @@ class Router::Impl {
       if (!handshaken) {
         if (op != Opcode::kHello) break;
         std::vector<uint8_t> response;
-        uint16_t chosen = 1;
-        if (!HandleHello(session, reader, &response, &chosen)) {
-          (void)net::WriteFrame(fd, response);
-          break;
-        }
-        handshaken = true;
-        if (!net::WriteFrame(fd, response).ok()) break;
-        version = chosen;
+        handshaken = HandleHello(session, reader, &response, &version);
+        if (!net::WriteFrame(fd, response).ok() || !handshaken) break;
         continue;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
@@ -257,44 +251,29 @@ class Router::Impl {
     sessions_open_.fetch_add(-1, std::memory_order_relaxed);
   }
 
+  /// Answers a hello with the shard's own parser and negotiation, so a
+  /// client gets the same answer through the router as from a shard.
+  /// Returns false when the session closes after `response`.
   bool HandleHello(Session* session, WireReader& reader,
-                   std::vector<uint8_t>* response, uint16_t* chosen_out) {
-    const uint32_t magic = reader.U32();
-    const uint16_t min_version = reader.U16();
-    const uint16_t max_version = reader.U16();
-    uint32_t requested_window = 0;
-    if (reader.ok() && reader.remaining() >= sizeof(uint32_t)) {
-      requested_window = reader.U32();
-    }
-    if (!reader.ok() || magic != net::kHelloMagic) {
-      *response = MakeErrorPayload(Opcode::kHello,
-                                   WireCode::kProtocolError, "bad hello");
+                   std::vector<uint8_t>* response, uint16_t* version) {
+    auto hello = net::ParseHello(reader);
+    if (!hello.ok()) {
+      *response = MakeErrorPayload(Opcode::kHello, WireCode::kProtocolError,
+                                   hello.status().message());
       return false;
     }
-    if (min_version > net::kProtocolVersionMax ||
-        max_version < net::kProtocolVersionMin) {
-      *response = MakeErrorPayload(Opcode::kHello, WireCode::kNotSupported,
-                                   "no common protocol version");
+    // The router never sheds on window overflow (its session loop is
+    // FIFO — excess requests just queue in the socket), so it grants up
+    // to the protocol maximum.
+    auto reply = net::Negotiate(*hello, net::kMaxPipelineWindow);
+    if (!reply.ok()) {
+      *response = MakeStatusPayload(Opcode::kHello, reply.status());
       return false;
     }
-    const uint16_t chosen =
-        std::min(max_version, net::kProtocolVersionMax);
-    WireWriter writer(response);
-    writer.U8(static_cast<uint8_t>(Opcode::kHello));
-    writer.U8(static_cast<uint8_t>(WireCode::kOk));
-    writer.U16(chosen);
-    writer.U8(shard_mode_.load(std::memory_order_relaxed));
-    writer.U64(session->id);
-    if (chosen >= 2) {
-      // The router never sheds on window overflow (its session loop is
-      // FIFO — excess requests just queue in the socket), so granting
-      // the requested window verbatim is safe.
-      uint32_t window = requested_window == 0 ? net::kDefaultPipelineWindow
-                                              : requested_window;
-      window = std::min(std::max(window, 1u), net::kMaxPipelineWindow);
-      writer.U32(window);
-    }
-    *chosen_out = chosen;
+    reply->mode = shard_mode_.load(std::memory_order_relaxed);
+    reply->session_id = session->id;
+    *response = net::EncodeHelloReply(*reply);
+    *version = reply->version;
     return true;
   }
 
@@ -359,11 +338,9 @@ class Router::Impl {
       case Opcode::kAbort:
         return ExecAbort(ctx, reader);
       case Opcode::kInsert:
-        return ExecInsert(ctx, reader);
       case Opcode::kUpdate:
-        return ExecUpdate(ctx, reader);
       case Opcode::kDelete:
-        return ExecDelete(ctx, reader);
+        return ExecDml(op, ctx, reader);
       case Opcode::kDmlBatch:
         return ExecDmlBatch(ctx, reader);
       case Opcode::kScanEqual:
@@ -421,99 +398,63 @@ class Router::Impl {
     return payload;
   }
 
-  std::vector<uint8_t> ExecInsert(SessionCtx* ctx, WireReader& reader) {
-    const uint64_t tid = reader.U64();
-    const std::string table = reader.Str();
-    const std::vector<storage::Value> row = reader.Row();
-    if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kInsert, WireCode::kInvalidArgument,
-                              "malformed insert body");
+  /// The shard that owns `op`: an insert goes by its key, an update or
+  /// delete by its location's shard tag, which this strips. An update
+  /// that would move its row to another shard is refused: the row would
+  /// be orphaned on the old shard, so callers delete and insert.
+  Result<size_t> RouteOp(net::DmlOp* op) const {
+    if (op->kind == net::DmlOp::kInsert) {
+      if (op->row.empty()) {
+        return Status::InvalidArgument("cannot shard an empty row");
+      }
+      return shard_map_.ShardForKey(op->row[0]);
     }
-    Status status = CheckTid(*ctx, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kInsert, status);
-    if (row.empty()) {
-      return MakeErrorPayload(Opcode::kInsert, WireCode::kInvalidArgument,
-                              "cannot shard an empty row");
+    const size_t shard = LocShard(op->loc);
+    if (shard >= num_shards()) {
+      return Status::InvalidArgument("row location names an unknown shard");
     }
-    const size_t shard = shard_map_.ShardForKey(row[0]);
-    auto client_result = EnsureTxn(ctx, shard);
-    if (!client_result.ok()) {
-      return MakeStatusPayload(Opcode::kInsert, client_result.status());
+    if (op->kind == net::DmlOp::kUpdate && !op->row.empty() &&
+        shard_map_.ShardForKey(op->row[0]) != shard) {
+      return Status::NotSupported(
+          "update may not move a row across shards (shard key changed)");
     }
-    auto loc_result = (*client_result)->Insert(table, row);
-    if (!loc_result.ok()) {
-      return MakeStatusPayload(Opcode::kInsert, loc_result.status());
-    }
-    std::vector<uint8_t> payload;
-    WireWriter writer(&payload);
-    writer.U8(static_cast<uint8_t>(Opcode::kInsert));
-    writer.U8(static_cast<uint8_t>(WireCode::kOk));
-    writer.Loc(TagLoc(*loc_result, shard));
-    return payload;
+    op->loc = UntagLoc(op->loc);
+    return shard;
   }
 
-  std::vector<uint8_t> ExecUpdate(SessionCtx* ctx, WireReader& reader) {
+  /// kInsert, kUpdate or kDelete in the session's transaction, forwarded
+  /// to the owning shard's backend transaction.
+  std::vector<uint8_t> ExecDml(Opcode op, SessionCtx* ctx,
+                               WireReader& reader) {
     const uint64_t tid = reader.U64();
-    const std::string table = reader.Str();
-    const storage::RowLocation tagged = reader.Loc();
-    const std::vector<storage::Value> row = reader.Row();
+    net::DmlOp dml = reader.DmlBody(net::DmlKind(op));
     if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kUpdate, WireCode::kInvalidArgument,
-                              "malformed update body");
+      return MakeErrorPayload(op, WireCode::kInvalidArgument,
+                              std::string("malformed ") +
+                                  net::OpcodeName(op) + " body");
     }
     Status status = CheckTid(*ctx, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kUpdate, status);
-    const size_t shard = LocShard(tagged);
-    if (shard >= num_shards()) {
-      return MakeErrorPayload(Opcode::kUpdate, WireCode::kInvalidArgument,
-                              "row location names an unknown shard");
+    if (!status.ok()) return MakeStatusPayload(op, status);
+    auto shard_result = RouteOp(&dml);
+    if (!shard_result.ok()) {
+      return MakeStatusPayload(op, shard_result.status());
     }
-    if (!row.empty() && shard_map_.ShardForKey(row[0]) != shard) {
-      // The new key hashes elsewhere; the row would be orphaned on the
-      // old shard. Callers must delete + insert explicitly.
-      return MakeStatusPayload(
-          Opcode::kUpdate,
-          Status::NotSupported("update may not move a row across shards "
-                               "(shard key changed)"));
-    }
+    const size_t shard = *shard_result;
     auto client_result = EnsureTxn(ctx, shard);
     if (!client_result.ok()) {
-      return MakeStatusPayload(Opcode::kUpdate, client_result.status());
+      return MakeStatusPayload(op, client_result.status());
     }
     auto loc_result =
-        (*client_result)->Update(table, UntagLoc(tagged), row);
-    if (!loc_result.ok()) {
-      return MakeStatusPayload(Opcode::kUpdate, loc_result.status());
+        (*client_result)->Dml(dml.kind, dml.table, dml.loc, dml.row);
+    if (!loc_result.ok() || op == Opcode::kDelete) {
+      return MakeStatusPayload(op, loc_result.status());
     }
     std::vector<uint8_t> payload;
     WireWriter writer(&payload);
-    writer.U8(static_cast<uint8_t>(Opcode::kUpdate));
+    writer.U8(static_cast<uint8_t>(op));
     writer.U8(static_cast<uint8_t>(WireCode::kOk));
     writer.Loc(TagLoc(*loc_result, shard));
     return payload;
-  }
-
-  std::vector<uint8_t> ExecDelete(SessionCtx* ctx, WireReader& reader) {
-    const uint64_t tid = reader.U64();
-    const std::string table = reader.Str();
-    const storage::RowLocation tagged = reader.Loc();
-    if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kDelete, WireCode::kInvalidArgument,
-                              "malformed delete body");
-    }
-    Status status = CheckTid(*ctx, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kDelete, status);
-    const size_t shard = LocShard(tagged);
-    if (shard >= num_shards()) {
-      return MakeErrorPayload(Opcode::kDelete, WireCode::kInvalidArgument,
-                              "row location names an unknown shard");
-    }
-    auto client_result = EnsureTxn(ctx, shard);
-    if (!client_result.ok()) {
-      return MakeStatusPayload(Opcode::kDelete, client_result.status());
-    }
-    status = (*client_result)->Delete(table, UntagLoc(tagged));
-    return MakeStatusPayload(Opcode::kDelete, status);
   }
 
   /// Batched autocommit DML rides through the router when every op in
@@ -534,57 +475,28 @@ class Router::Impl {
       return MakeErrorPayload(kOp, WireCode::kInvalidArgument,
                               "malformed dml_batch body");
     }
-    std::vector<net::Client::DmlOp> ops;
-    ops.reserve(count);
+    // `count` comes from the peer, so nothing is sized by it: the ops
+    // vector grows only as ops actually decode.
+    std::vector<net::DmlOp> ops;
     size_t shard = SIZE_MAX;
     for (uint32_t i = 0; i < count; ++i) {
-      net::Client::DmlOp op;
-      op.kind = reader.U8();
-      op.table = reader.Str();
-      size_t op_shard = SIZE_MAX;
-      if (op.kind == net::Client::DmlOp::kInsert) {
-        op.row = reader.Row();
-        if (!reader.ok() || op.row.empty()) {
-          return MakeErrorPayload(kOp, WireCode::kInvalidArgument,
-                                  "malformed dml_batch body");
-        }
-        op_shard = shard_map_.ShardForKey(op.row[0]);
-      } else if (op.kind == net::Client::DmlOp::kUpdate ||
-                 op.kind == net::Client::DmlOp::kDelete) {
-        const storage::RowLocation tagged = reader.Loc();
-        if (op.kind == net::Client::DmlOp::kUpdate) op.row = reader.Row();
-        if (!reader.ok()) {
-          return MakeErrorPayload(kOp, WireCode::kInvalidArgument,
-                                  "malformed dml_batch body");
-        }
-        op_shard = LocShard(tagged);
-        if (op_shard >= num_shards()) {
-          return MakeErrorPayload(
-              kOp, WireCode::kInvalidArgument,
-              "op " + std::to_string(i) +
-                  ": row location names an unknown shard");
-        }
-        if (op.kind == net::Client::DmlOp::kUpdate && !op.row.empty() &&
-            shard_map_.ShardForKey(op.row[0]) != op_shard) {
-          return MakeStatusPayload(
-              kOp, Status::NotSupported(
-                       "op " + std::to_string(i) +
-                       ": update may not move a row across shards"));
-        }
-        op.loc = UntagLoc(tagged);
-      } else {
-        return MakeErrorPayload(kOp, WireCode::kInvalidArgument,
-                                "malformed dml_batch op");
+      net::DmlOp op = reader.BatchOp();
+      Result<size_t> op_shard =
+          reader.ok() ? RouteOp(&op)
+                      : Status::InvalidArgument("malformed dml_batch op");
+      if (op_shard.ok() && shard != SIZE_MAX && *op_shard != shard) {
+        op_shard = Status::NotSupported(
+            "dml_batch ops span shards " + std::to_string(shard) + " and " +
+            std::to_string(*op_shard) +
+            "; split the batch per shard to keep it atomic");
       }
-      if (shard == SIZE_MAX) {
-        shard = op_shard;
-      } else if (shard != op_shard) {
-        return MakeStatusPayload(
-            kOp, Status::NotSupported(
-                     "dml_batch ops span shards " + std::to_string(shard) +
-                     " and " + std::to_string(op_shard) +
-                     "; split the batch per shard to keep it atomic"));
+      if (!op_shard.ok()) {
+        return MakeErrorPayload(kOp,
+                                net::WireCodeFromStatus(op_shard.status()),
+                                "op " + std::to_string(i) + ": " +
+                                    std::string(op_shard.status().message()));
       }
+      shard = *op_shard;
       ops.push_back(std::move(op));
     }
     auto client_result = EnsureClient(ctx, shard);

@@ -23,9 +23,23 @@ Status Client::ConnectOnce() {
       ConnectTcp(options_.host, options_.port, options_.connect_timeout_ms);
   if (!fd_result.ok()) return fd_result.status();
   fd_ = std::move(fd_result).ValueUnsafe();
-  Status status = Handshake();
-  if (!status.ok()) Close();
-  return status;
+  Hello hello;
+  hello.max_version = std::max(
+      std::min(options_.protocol_max, kProtocolVersionMax),
+      kProtocolVersionMin);
+  hello.window = options_.request_window;
+  auto reply = ExchangeHello(fd_.get(), hello, options_.read_timeout_ms,
+                             &last_wire_code_);
+  if (!reply.ok()) {
+    Close();
+    return reply.status();
+  }
+  protocol_version_ = reply->version;
+  server_mode_ = reply->mode;
+  session_id_ = reply->session_id;
+  pipeline_window_ = reply->window;
+  next_tag_ = 1;
+  return Status::OK();
 }
 
 Status Client::Connect() {
@@ -51,48 +65,6 @@ void Client::Close() {
   fd_.Reset();
   session_id_ = 0;
   current_tid_ = 0;
-}
-
-Status Client::Handshake() {
-  // The hello exchange is ALWAYS v1-framed in both directions; framing
-  // switches to tagged v2 only after both sides know the negotiated
-  // version (DESIGN.md §17).
-  const uint16_t offer_max =
-      std::min(options_.protocol_max, kProtocolVersionMax);
-  std::vector<uint8_t> payload;
-  WireWriter writer(&payload);
-  writer.U8(static_cast<uint8_t>(Opcode::kHello));
-  writer.U32(kHelloMagic);
-  writer.U16(kProtocolVersionMin);
-  writer.U16(std::max(offer_max, kProtocolVersionMin));
-  if (offer_max >= 2) {
-    writer.U32(options_.request_window);
-  }
-  HYRISE_NV_RETURN_NOT_OK(WriteFrame(fd_.get(), payload));
-  auto frame_result = ReadFrame(fd_.get(), options_.read_timeout_ms);
-  if (!frame_result.ok()) return frame_result.status();
-  WireReader reader(frame_result->data(), frame_result->size());
-  const uint8_t op = reader.U8();
-  const WireCode code = static_cast<WireCode>(reader.U8());
-  last_wire_code_ = code;
-  if (!reader.ok() || op != static_cast<uint8_t>(Opcode::kHello)) {
-    return Status::IOError("malformed handshake response");
-  }
-  if (code != WireCode::kOk) {
-    return StatusFromWire(code, reader.Str());
-  }
-  protocol_version_ = reader.U16();
-  server_mode_ = reader.U8();
-  session_id_ = reader.U64();
-  pipeline_window_ = 0;
-  if (reader.ok() && protocol_version_ >= 2) {
-    pipeline_window_ = reader.U32();
-  }
-  if (!reader.ok()) {
-    return Status::IOError("truncated handshake response");
-  }
-  next_tag_ = 1;
-  return Status::OK();
 }
 
 Result<std::vector<uint8_t>> Client::Roundtrip(
@@ -248,7 +220,9 @@ Result<std::vector<uint64_t>> Client::InDoubt() {
   WireReader reader(body_result->data(), body_result->size());
   const uint32_t count = reader.U32();
   std::vector<uint64_t> gtids;
-  gtids.reserve(count);
+  // The count comes from the peer: never reserve past what the frame
+  // can hold.
+  gtids.reserve(std::min<size_t>(count, reader.remaining() / 8));
   for (uint32_t i = 0; i < count && reader.ok(); ++i) {
     gtids.push_back(reader.U64());
   }
@@ -260,46 +234,42 @@ Result<std::vector<uint64_t>> Client::InDoubt() {
 
 Result<storage::RowLocation> Client::Insert(
     const std::string& table, const std::vector<storage::Value>& row) {
-  std::vector<uint8_t> payload;
-  WireWriter writer(&payload);
-  writer.U8(static_cast<uint8_t>(Opcode::kInsert));
-  writer.U64(0);
-  writer.Str(table);
-  writer.Row(row);
-  auto body_result = Call(Opcode::kInsert, payload);
-  if (!body_result.ok()) return body_result.status();
-  WireReader reader(body_result->data(), body_result->size());
-  const storage::RowLocation loc = reader.Loc();
-  if (!reader.ok()) return Status::IOError("truncated insert response");
-  return loc;
+  return Dml(DmlOp::kInsert, table, {}, row);
 }
 
 Result<storage::RowLocation> Client::Update(
     const std::string& table, storage::RowLocation loc,
     const std::vector<storage::Value>& row) {
-  std::vector<uint8_t> payload;
-  WireWriter writer(&payload);
-  writer.U8(static_cast<uint8_t>(Opcode::kUpdate));
-  writer.U64(0);
-  writer.Str(table);
-  writer.Loc(loc);
-  writer.Row(row);
-  auto body_result = Call(Opcode::kUpdate, payload);
-  if (!body_result.ok()) return body_result.status();
-  WireReader reader(body_result->data(), body_result->size());
-  const storage::RowLocation new_loc = reader.Loc();
-  if (!reader.ok()) return Status::IOError("truncated update response");
-  return new_loc;
+  return Dml(DmlOp::kUpdate, table, loc, row);
 }
 
 Status Client::Delete(const std::string& table, storage::RowLocation loc) {
+  return Dml(DmlOp::kDelete, table, loc, {}).status();
+}
+
+Result<storage::RowLocation> Client::Dml(
+    uint8_t kind, const std::string& table, storage::RowLocation loc,
+    const std::vector<storage::Value>& row) {
+  if (!IsDmlKind(kind)) {
+    return Status::InvalidArgument("bad dml op kind " +
+                                   std::to_string(kind));
+  }
+  const Opcode op = DmlOpcode(kind);
   std::vector<uint8_t> payload;
   WireWriter writer(&payload);
-  writer.U8(static_cast<uint8_t>(Opcode::kDelete));
-  writer.U64(0);
-  writer.Str(table);
-  writer.Loc(loc);
-  return Call(Opcode::kDelete, payload).status();
+  writer.U8(static_cast<uint8_t>(op));
+  writer.U64(0);  // 0 = the session's open transaction
+  writer.DmlBody(kind, table, loc, row);
+  auto body_result = Call(op, payload);
+  if (!body_result.ok()) return body_result.status();
+  if (kind == DmlOp::kDelete) return loc;
+  WireReader reader(body_result->data(), body_result->size());
+  const storage::RowLocation new_loc = reader.Loc();
+  if (!reader.ok()) {
+    return Status::IOError(std::string("truncated ") + OpcodeName(op) +
+                           " response");
+  }
+  return new_loc;
 }
 
 Result<Client::DmlBatchResult> Client::DmlBatch(
@@ -312,23 +282,12 @@ Result<Client::DmlBatchResult> Client::DmlBatch(
   writer.U8(static_cast<uint8_t>(Opcode::kDmlBatch));
   writer.U32(static_cast<uint32_t>(ops.size()));
   for (const DmlOp& op : ops) {
-    writer.U8(op.kind);
-    writer.Str(op.table);
-    switch (op.kind) {
-      case DmlOp::kInsert:
-        writer.Row(op.row);
-        break;
-      case DmlOp::kUpdate:
-        writer.Loc(op.loc);
-        writer.Row(op.row);
-        break;
-      case DmlOp::kDelete:
-        writer.Loc(op.loc);
-        break;
-      default:
-        return Status::InvalidArgument("bad dml op kind " +
-                                       std::to_string(op.kind));
+    if (!IsDmlKind(op.kind)) {
+      return Status::InvalidArgument("bad dml op kind " +
+                                     std::to_string(op.kind));
     }
+    writer.U8(op.kind);
+    writer.DmlBody(op);
   }
   auto body_result = Call(Opcode::kDmlBatch, payload);
   if (!body_result.ok()) return body_result.status();

@@ -136,17 +136,14 @@ class Client {
                                       storage::RowLocation loc,
                                       const std::vector<storage::Value>& row);
   Status Delete(const std::string& table, storage::RowLocation loc);
+  /// One op in the session transaction, sent as kInsert, kUpdate or
+  /// kDelete by `kind` (DmlOp's values); `loc` is ignored for an insert
+  /// and `row` for a delete. Returns the op's location: a delete, which
+  /// the server answers with a status only, echoes `loc`.
+  Result<storage::RowLocation> Dml(uint8_t kind, const std::string& table,
+                                   storage::RowLocation loc,
+                                   const std::vector<storage::Value>& row);
 
-  /// One operation of a kDmlBatch frame. `kind` uses the wire values.
-  struct DmlOp {
-    static constexpr uint8_t kInsert = 1;
-    static constexpr uint8_t kUpdate = 2;
-    static constexpr uint8_t kDelete = 3;
-    uint8_t kind = kInsert;
-    std::string table;
-    storage::RowLocation loc;              // update/delete
-    std::vector<storage::Value> row;       // insert/update
-  };
   struct DmlBatchResult {
     /// One location per op, in op order (a delete echoes the location it
     /// removed).
@@ -201,7 +198,6 @@ class Client {
   Result<std::vector<uint8_t>> Roundtrip(const std::vector<uint8_t>& payload);
 
  private:
-  Status Handshake();
   /// Sends `payload`, reads one response frame, checks the opcode echo
   /// and wire code. Returns the response body reader position: a reader
   /// over the bytes after [opcode][code]. On transport failure with

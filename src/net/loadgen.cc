@@ -15,6 +15,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "net/net_util.h"
+#include "net/pipeline_client.h"
 #include "net/wire.h"
 #include "storage/types.h"
 #include "workload/open_loop.h"
@@ -154,23 +155,16 @@ class OpenLoopDriver {
       return Status::IOError("epoll_create1: " +
                              std::string(std::strerror(errno)));
     }
-    // Handshake frame shared by every connection.
+    // Handshake shared by every connection.
     const int depth = std::max(1, options_.pipeline_depth);
-    const uint16_t offer_max = std::max(
+    Hello hello;
+    hello.max_version = std::max(
         kProtocolVersionMin,
         std::min(options_.protocol_max, kProtocolVersionMax));
-    std::vector<uint8_t> hello;
-    WireWriter writer(&hello);
-    writer.U8(static_cast<uint8_t>(Opcode::kHello));
-    writer.U32(kHelloMagic);
-    writer.U16(kProtocolVersionMin);
-    writer.U16(offer_max);
-    if (offer_max >= 2) {
-      // Ask for headroom beyond the depth so the server never sheds the
-      // generator's own window (2x, capped by the protocol maximum).
-      writer.U32(std::min<uint32_t>(2u * static_cast<uint32_t>(depth),
-                                    kMaxPipelineWindow));
-    }
+    // Ask for headroom beyond the depth so the server never sheds the
+    // generator's own window (2x, capped by the protocol maximum).
+    hello.window = std::min<uint32_t>(2u * static_cast<uint32_t>(depth),
+                                      kMaxPipelineWindow);
 
     conns_.reserve(static_cast<size_t>(options_.connections));
     for (int i = 0; i < options_.connections; ++i) {
@@ -186,28 +180,15 @@ class OpenLoopDriver {
       conn->fd = std::move(fd_result).ValueUnsafe();
       // Blocking handshake: at thousands of connections this is still
       // fast (sub-millisecond each) and keeps the state machine simple.
-      HYRISE_NV_RETURN_NOT_OK(WriteFrame(conn->fd.get(), hello));
-      auto response = ReadFrame(conn->fd.get(), options_.connect_timeout_ms);
-      if (!response.ok()) return response.status();
-      if (response->size() < 2 ||
-          (*response)[1] != static_cast<uint8_t>(WireCode::kOk)) {
-        return Status::IOError("handshake rejected by server");
-      }
-      WireReader hello_reader(response->data(), response->size());
-      hello_reader.U8();  // opcode echo
-      hello_reader.U8();  // wire code (kOk, checked above)
-      conn->version = hello_reader.U16();
-      hello_reader.U8();   // server mode
-      hello_reader.U64();  // session id
-      conn->slots = 1;
-      if (conn->version >= 2 && hello_reader.ok()) {
-        const uint32_t granted = hello_reader.U32();
-        if (!hello_reader.ok() || granted == 0) {
-          return Status::IOError("v2 handshake carries no window");
-        }
-        conn->slots = static_cast<int>(
-            std::min<uint32_t>(static_cast<uint32_t>(depth), granted));
-      }
+      auto reply = ExchangeHello(conn->fd.get(), hello,
+                                 options_.connect_timeout_ms);
+      if (!reply.ok()) return reply.status();
+      conn->version = reply->version;
+      conn->slots =
+          conn->version >= 2
+              ? static_cast<int>(std::min<uint32_t>(
+                    static_cast<uint32_t>(depth), reply->window))
+              : 1;
       HYRISE_NV_RETURN_NOT_OK(SetNonBlocking(conn->fd.get()));
       HYRISE_NV_RETURN_NOT_OK(SetNoDelay(conn->fd.get()));
       epoll_event ev{};
@@ -235,23 +216,13 @@ class OpenLoopDriver {
       // v2: every op is ONE tagged frame. Reads keep ScanEqual; the
       // write triple collapses into a one-op kDmlBatch (the server runs
       // begin+insert+commit in a single transaction-stage pass).
-      std::vector<uint8_t> payload;
-      WireWriter writer(&payload);
-      if (is_read) {
-        writer.U8(static_cast<uint8_t>(Opcode::kScanEqual));
-        writer.U64(0);  // ad-hoc snapshot
-        writer.Str(options_.table);
-        writer.U32(0);
-        writer.Value(storage::Value(key));
-        writer.U32(options_.scan_limit);
-      } else {
-        writer.U8(static_cast<uint8_t>(Opcode::kDmlBatch));
-        writer.U32(1);
-        writer.U8(1);  // insert
-        writer.Str(options_.table);
-        writer.Row({storage::Value(key),
-                    storage::Value(value_payload_)});
-      }
+      const std::vector<uint8_t> payload =
+          is_read ? MakeScanEqualPayload(options_.table, 0,
+                                         storage::Value(key),
+                                         options_.scan_limit)
+                  : MakeInsertBatchPayload(
+                        options_.table, {storage::Value(key),
+                                         storage::Value(value_payload_)});
       const uint32_t tag = conn->next_tag++;
       if (conn->next_tag == 0) conn->next_tag = 1;
       const std::vector<uint8_t> frame = EncodeTaggedFrame(tag, payload);
@@ -264,40 +235,29 @@ class OpenLoopDriver {
     conn->op_failed = false;
     conn->op_shed = false;
     if (is_read) {
-      std::vector<uint8_t> payload;
-      WireWriter writer(&payload);
-      writer.U8(static_cast<uint8_t>(Opcode::kScanEqual));
-      writer.U64(0);  // ad-hoc snapshot
-      writer.Str(options_.table);
-      writer.U32(0);
-      writer.Value(storage::Value(key));
-      writer.U32(options_.scan_limit);
-      AppendFrame(conn, payload);
+      AppendFrame(conn, MakeScanEqualPayload(options_.table, 0,
+                                             storage::Value(key),
+                                             options_.scan_limit));
       conn->expected.push_back(
           {op_id, static_cast<uint8_t>(Opcode::kScanEqual), true});
     } else {
-      std::vector<uint8_t> payload;
-      WireWriter begin_writer(&payload);
-      begin_writer.U8(static_cast<uint8_t>(Opcode::kBegin));
-      AppendFrame(conn, payload);
+      AppendFrame(conn, {static_cast<uint8_t>(Opcode::kBegin)});
       conn->expected.push_back(
           {op_id, static_cast<uint8_t>(Opcode::kBegin), false});
 
-      payload.clear();
-      WireWriter insert_writer(&payload);
-      insert_writer.U8(static_cast<uint8_t>(Opcode::kInsert));
-      insert_writer.U64(0);  // session transaction
-      insert_writer.Str(options_.table);
-      insert_writer.Row({storage::Value(key),
-                         storage::Value(value_payload_)});
+      std::vector<uint8_t> payload;
+      WireWriter writer(&payload);
+      writer.U8(static_cast<uint8_t>(Opcode::kInsert));
+      writer.U64(0);  // session transaction
+      writer.DmlBody(DmlOp::kInsert, options_.table, {},
+                     {storage::Value(key), storage::Value(value_payload_)});
       AppendFrame(conn, payload);
       conn->expected.push_back(
           {op_id, static_cast<uint8_t>(Opcode::kInsert), false});
 
       payload.clear();
-      WireWriter commit_writer(&payload);
-      commit_writer.U8(static_cast<uint8_t>(Opcode::kCommit));
-      commit_writer.U64(0);
+      writer.U8(static_cast<uint8_t>(Opcode::kCommit));
+      writer.U64(0);
       AppendFrame(conn, payload);
       conn->expected.push_back(
           {op_id, static_cast<uint8_t>(Opcode::kCommit), true});

@@ -214,6 +214,14 @@ Result<TaggedFrame> ReadTaggedFrame(int fd, int timeout_ms,
   return frame;
 }
 
+Result<HelloReply> ExchangeHello(int fd, const Hello& hello, int timeout_ms,
+                                 WireCode* code) {
+  HYRISE_NV_RETURN_NOT_OK(WriteFrame(fd, EncodeHello(hello)));
+  auto reply = ReadFrame(fd, timeout_ms);
+  if (!reply.ok()) return reply.status();
+  return ParseHelloReply(reply->data(), reply->size(), code);
+}
+
 uint64_t RaiseFdLimit(uint64_t want) {
   struct rlimit lim{};
   if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return 0;

@@ -88,6 +88,13 @@ Status WriteTaggedFrame(int fd, uint32_t tag,
 Result<TaggedFrame> ReadTaggedFrame(int fd, int timeout_ms = 0,
                                     uint32_t max_payload = kMaxFrameBytes);
 
+/// The client half of the handshake: writes `hello` and reads the reply,
+/// both v1-framed whatever version is offered (DESIGN.md §17.1), and
+/// parses the reply with ParseHelloReply. `timeout_ms` bounds the read;
+/// `code`, when given, receives the reply's wire code.
+Result<HelloReply> ExchangeHello(int fd, const Hello& hello, int timeout_ms,
+                                 WireCode* code = nullptr);
+
 /// Raises RLIMIT_NOFILE's soft limit towards min(want, hard limit).
 /// Best-effort: returns the soft limit in effect afterwards, which may be
 /// below `want` on constrained systems — callers decide whether that is

@@ -16,57 +16,23 @@ Status PipelinedClient::Connect() {
       ConnectTcp(options_.host, options_.port, options_.connect_timeout_ms);
   if (!fd_result.ok()) return fd_result.status();
   fd_ = std::move(fd_result).ValueUnsafe();
-  // v1-framed hello (both directions, always — DESIGN.md §17).
-  std::vector<uint8_t> hello;
-  WireWriter writer(&hello);
-  writer.U8(static_cast<uint8_t>(Opcode::kHello));
-  writer.U32(kHelloMagic);
-  writer.U16(kProtocolVersionMin);
-  writer.U16(kProtocolVersionMax);
-  writer.U32(options_.request_window);
-  Status status = WriteFrame(fd_.get(), hello);
+  Hello hello;
+  hello.window = options_.request_window;
+  auto reply = ExchangeHello(fd_.get(), hello, options_.read_timeout_ms);
+  Status status = reply.status();
+  if (status.ok() && reply->version < 2) {
+    status = Status::NotSupported(
+        "server negotiated protocol v" + std::to_string(reply->version) +
+        "; pipelining needs v2 tagged frames");
+  }
   if (!status.ok()) {
     Close();
     return status;
   }
-  auto frame_result = ReadFrame(fd_.get(), options_.read_timeout_ms);
-  if (!frame_result.ok()) {
-    Close();
-    return frame_result.status();
-  }
-  WireReader reader(frame_result->data(), frame_result->size());
-  const uint8_t op = reader.U8();
-  const WireCode code = static_cast<WireCode>(reader.U8());
-  if (!reader.ok() || op != static_cast<uint8_t>(Opcode::kHello)) {
-    Close();
-    return Status::IOError("malformed handshake response");
-  }
-  if (code != WireCode::kOk) {
-    status = StatusFromWire(code, reader.Str());
-    Close();
-    return status;
-  }
-  const uint16_t version = reader.U16();
-  server_mode_ = reader.U8();
-  session_id_ = reader.U64();
-  if (!reader.ok()) {
-    Close();
-    return Status::IOError("truncated handshake response");
-  }
-  if (version < 2) {
-    Close();
-    return Status::NotSupported(
-        "server negotiated protocol v" + std::to_string(version) +
-        "; pipelining needs v2 tagged frames");
-  }
-  window_ = reader.U32();
-  if (!reader.ok() || window_ == 0) {
-    Close();
-    return Status::IOError("v2 handshake response carries no window");
-  }
+  window_ = reply->window;
+  server_mode_ = reply->mode;
+  session_id_ = reply->session_id;
   next_tag_ = 1;
-  order_.clear();
-  stash_.clear();
   return Status::OK();
 }
 
@@ -200,9 +166,8 @@ std::vector<uint8_t> MakeInsertBatchPayload(
   WireWriter writer(&payload);
   writer.U8(static_cast<uint8_t>(Opcode::kDmlBatch));
   writer.U32(1);
-  writer.U8(1);  // insert
-  writer.Str(table);
-  writer.Row(row);
+  writer.U8(DmlOp::kInsert);
+  writer.DmlBody(DmlOp::kInsert, table, {}, row);
   return payload;
 }
 

@@ -1012,68 +1012,35 @@ class ServerImpl {
   }
 
   bool HandleHello(Worker* worker, Connection* conn, WireReader& reader) {
-    const uint32_t magic = reader.U32();
-    const uint16_t min_version = reader.U16();
-    const uint16_t max_version = reader.U16();
-    // v2-capable clients append the pipeline window they want; a v1
-    // hello simply ends here.
-    uint32_t requested_window = 0;
-    if (reader.ok() && reader.remaining() >= sizeof(uint32_t)) {
-      requested_window = reader.U32();
-    }
-    if (!reader.ok() || magic != kHelloMagic) {
-      ProtocolError(worker, conn, Opcode::kHello, "bad hello magic");
+    auto hello = ParseHello(reader);
+    if (!hello.ok()) {
+      ProtocolError(worker, conn, Opcode::kHello, hello.status().message());
       return false;
     }
-    if (min_version > kProtocolVersionMax ||
-        max_version < kProtocolVersionMin || min_version > max_version) {
-      // Clean cross-version failure: the client learns the server's
-      // supported range instead of a dropped connection.
-      AppendResponse(
-          conn,
-          MakeErrorPayload(
-              Opcode::kHello, WireCode::kNotSupported,
-              "no common protocol version: client [" +
-                  std::to_string(min_version) + "," +
-                  std::to_string(max_version) + "], server [" +
-                  std::to_string(kProtocolVersionMin) + "," +
-                  std::to_string(kProtocolVersionMax) + "]"));
+    // No common version is a clean cross-version failure: the client
+    // learns both supported ranges instead of a dropped connection.
+    auto reply = Negotiate(*hello, options_.max_pipeline_window);
+    if (!reply.ok() || draining()) {
+      AppendResponse(conn, reply.ok()
+                               ? MakeErrorPayload(Opcode::kHello,
+                                                  WireCode::kDraining,
+                                                  "server is draining")
+                               : MakeStatusPayload(Opcode::kHello,
+                                                   reply.status()));
       conn->close_after_flush = true;
       FlushOut(worker, conn);
       return false;
     }
-    if (draining()) {
-      AppendResponse(conn, MakeErrorPayload(Opcode::kHello,
-                                            WireCode::kDraining,
-                                            "server is draining"));
-      conn->close_after_flush = true;
-      FlushOut(worker, conn);
-      return false;
-    }
-    const uint16_t chosen = std::min(max_version, kProtocolVersionMax);
+    reply->mode = static_cast<uint8_t>(db_->options().mode);
+    reply->session_id = conn->id;
     conn->handshaken = true;
-    std::vector<uint8_t> response;
-    WireWriter writer(&response);
-    writer.U8(static_cast<uint8_t>(Opcode::kHello));
-    writer.U8(static_cast<uint8_t>(WireCode::kOk));
-    writer.U16(chosen);
-    writer.U8(static_cast<uint8_t>(db_->options().mode));
-    writer.U64(conn->id);
-    uint32_t window = 0;
-    if (chosen >= 2) {
-      const uint32_t cap = std::max(1u, options_.max_pipeline_window);
-      window = requested_window == 0 ? kDefaultPipelineWindow
-                                     : requested_window;
-      window = std::min(std::max(window, 1u), cap);
-      writer.U32(window);
-    }
     // The hello response is v1-framed even when v2 was negotiated (the
     // client cannot know the outcome before reading it); everything
     // after this frame — in both directions — is tagged.
-    AppendResponse(conn, std::move(response));
-    if (chosen >= 2) {
-      conn->version = chosen;
-      conn->window = window;
+    AppendResponse(conn, EncodeHelloReply(*reply));
+    if (reply->version >= 2) {
+      conn->version = reply->version;
+      conn->window = reply->window;
     }
     return true;
   }
@@ -1154,11 +1121,9 @@ class ServerImpl {
       case Opcode::kInDoubt:
         return ExecInDoubt();
       case Opcode::kInsert:
-        return ExecInsert(conn, reader);
       case Opcode::kUpdate:
-        return ExecUpdate(conn, reader);
       case Opcode::kDelete:
-        return ExecDelete(conn, reader);
+        return ExecDml(op, conn, reader);
       case Opcode::kDmlBatch:
         return ExecDmlBatch(conn, reader);
       case Opcode::kScanEqual:
@@ -1341,89 +1306,57 @@ class ServerImpl {
     return payload;
   }
 
-  std::vector<uint8_t> ExecInsert(Connection* conn, WireReader& reader) {
+  /// Applies one decoded op inside `tx`: bound-checks the location,
+  /// then inserts, updates or deletes. Returns the op's location (a
+  /// delete echoes the one it removed).
+  Result<storage::RowLocation> ApplyOp(txn::Transaction& tx,
+                                       storage::Table* table,
+                                       const DmlOp& op) {
+    if (op.kind == DmlOp::kInsert) return db_->Insert(tx, table, op.row);
+    HYRISE_NV_RETURN_NOT_OK(CheckLocation(table, op.loc));
+    if (op.kind == DmlOp::kUpdate) {
+      return db_->Update(tx, table, op.loc, op.row);
+    }
+    HYRISE_NV_RETURN_NOT_OK(db_->Delete(tx, table, op.loc));
+    return op.loc;
+  }
+
+  /// kInsert, kUpdate or kDelete in the session transaction. Body:
+  /// [u64 tid] + the op body. A delete answers with a status only.
+  std::vector<uint8_t> ExecDml(Opcode op, Connection* conn,
+                               WireReader& reader) {
     const uint64_t tid = reader.U64();
-    const std::string table_name = reader.Str();
-    const std::vector<storage::Value> row = reader.Row();
+    const DmlOp dml = reader.DmlBody(DmlKind(op));
     if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kInsert, WireCode::kInvalidArgument,
-                              "malformed insert body");
+      return MakeErrorPayload(op, WireCode::kInvalidArgument,
+                              std::string("malformed ") + OpcodeName(op) +
+                                  " body");
     }
     Status status = SessionTxn(conn, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kInsert, status);
-    auto table_result = db_->GetTable(table_name);
+    if (!status.ok()) return MakeStatusPayload(op, status);
+    auto table_result = db_->GetTable(dml.table);
     if (!table_result.ok()) {
-      return MakeStatusPayload(Opcode::kInsert, table_result.status());
+      return MakeStatusPayload(op, table_result.status());
     }
-    auto loc_result = db_->Insert(conn->txn, *table_result, row);
-    if (!loc_result.ok()) {
-      return MakeStatusPayload(Opcode::kInsert, loc_result.status());
+    auto loc_result = ApplyOp(conn->txn, *table_result, dml);
+    if (!loc_result.ok() || op == Opcode::kDelete) {
+      return MakeStatusPayload(op, loc_result.status());
     }
     std::vector<uint8_t> payload = TakeBuf(conn);
     WireWriter writer(&payload);
-    writer.U8(static_cast<uint8_t>(Opcode::kInsert));
+    writer.U8(static_cast<uint8_t>(op));
     writer.U8(static_cast<uint8_t>(WireCode::kOk));
     writer.Loc(*loc_result);
     return payload;
   }
 
-  std::vector<uint8_t> ExecUpdate(Connection* conn, WireReader& reader) {
-    const uint64_t tid = reader.U64();
-    const std::string table_name = reader.Str();
-    const storage::RowLocation loc = reader.Loc();
-    const std::vector<storage::Value> row = reader.Row();
-    if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kUpdate, WireCode::kInvalidArgument,
-                              "malformed update body");
-    }
-    Status status = SessionTxn(conn, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kUpdate, status);
-    auto table_result = db_->GetTable(table_name);
-    if (!table_result.ok()) {
-      return MakeStatusPayload(Opcode::kUpdate, table_result.status());
-    }
-    status = CheckLocation(*table_result, loc);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kUpdate, status);
-    auto loc_result = db_->Update(conn->txn, *table_result, loc, row);
-    if (!loc_result.ok()) {
-      return MakeStatusPayload(Opcode::kUpdate, loc_result.status());
-    }
-    std::vector<uint8_t> payload = TakeBuf(conn);
-    WireWriter writer(&payload);
-    writer.U8(static_cast<uint8_t>(Opcode::kUpdate));
-    writer.U8(static_cast<uint8_t>(WireCode::kOk));
-    writer.Loc(*loc_result);
-    return payload;
-  }
-
-  std::vector<uint8_t> ExecDelete(Connection* conn, WireReader& reader) {
-    const uint64_t tid = reader.U64();
-    const std::string table_name = reader.Str();
-    const storage::RowLocation loc = reader.Loc();
-    if (!reader.ok()) {
-      return MakeErrorPayload(Opcode::kDelete, WireCode::kInvalidArgument,
-                              "malformed delete body");
-    }
-    Status status = SessionTxn(conn, tid);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kDelete, status);
-    auto table_result = db_->GetTable(table_name);
-    if (!table_result.ok()) {
-      return MakeStatusPayload(Opcode::kDelete, table_result.status());
-    }
-    status = CheckLocation(*table_result, loc);
-    if (!status.ok()) return MakeStatusPayload(Opcode::kDelete, status);
-    return MakeStatusPayload(Opcode::kDelete,
-                             db_->Delete(conn->txn, *table_result, loc));
-  }
-
-  /// Pipelined autocommit write: [u32 count] then per op [u8 kind]
-  /// + body (1=insert: [str table][row], 2=update: [str table][loc][row],
-  /// 3=delete: [str table][loc]). The whole batch runs as ONE engine
-  /// transaction — every op applies under one transaction-stage pass,
-  /// then a single commit pays one group-commit fsync and one ordered
-  /// publish for the lot. Atomic: any failing op aborts the batch and
-  /// the error names its index. Response: [u32 count][loc]*count[u64 cid]
-  /// (a delete echoes the location it removed).
+  /// Pipelined autocommit write: [u32 count] then `count` kDmlBatch ops.
+  /// The whole batch runs as ONE engine transaction — every op applies
+  /// under one transaction-stage pass, then a single commit pays one
+  /// group-commit fsync and one ordered publish for the lot. Atomic: any
+  /// failing op aborts the batch and the error names its index.
+  /// Response: [u32 count][loc]*count[u64 cid] (a delete echoes the
+  /// location it removed).
   std::vector<uint8_t> ExecDmlBatch(Connection* conn, WireReader& reader) {
     constexpr Opcode kOp = Opcode::kDmlBatch;
     if (conn->txn_open) {
@@ -1453,85 +1386,35 @@ class ServerImpl {
     storage::Table* cached_table = nullptr;
     std::string cached_name;
     Status failure;
-    uint32_t fail_index = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint8_t kind = reader.U8();
-      const std::string table_name = reader.Str();
-      if (!reader.ok() || kind < 1 || kind > 3) {
+    uint32_t i = 0;  // after the loop: the failing op's index
+    for (; i < count; ++i) {
+      const DmlOp op = reader.BatchOp();
+      if (!reader.ok()) {
         failure = Status::InvalidArgument("malformed dml_batch op");
-        fail_index = i;
         break;
       }
-      storage::Table* table = cached_table;
-      if (table == nullptr || table_name != cached_name) {
-        auto table_result = db_->GetTable(table_name);
+      if (cached_table == nullptr || op.table != cached_name) {
+        auto table_result = db_->GetTable(op.table);
         if (!table_result.ok()) {
           failure = table_result.status();
-          fail_index = i;
           break;
         }
-        table = *table_result;
-        cached_table = table;
-        cached_name = table_name;
+        cached_table = *table_result;
+        cached_name = op.table;
       }
-      if (kind == 1) {  // insert
-        const std::vector<storage::Value> row = reader.Row();
-        if (!reader.ok()) {
-          failure = Status::InvalidArgument("malformed insert row");
-          fail_index = i;
-          break;
-        }
-        auto loc_result = db_->Insert(tx, table, row);
-        if (!loc_result.ok()) {
-          failure = loc_result.status();
-          fail_index = i;
-          break;
-        }
-        writer.Loc(*loc_result);
-      } else if (kind == 2) {  // update
-        const storage::RowLocation loc = reader.Loc();
-        const std::vector<storage::Value> row = reader.Row();
-        if (!reader.ok()) {
-          failure = Status::InvalidArgument("malformed update op");
-          fail_index = i;
-          break;
-        }
-        failure = CheckLocation(table, loc);
-        if (failure.ok()) {
-          auto loc_result = db_->Update(tx, table, loc, row);
-          if (loc_result.ok()) {
-            writer.Loc(*loc_result);
-          } else {
-            failure = loc_result.status();
-          }
-        }
-        if (!failure.ok()) {
-          fail_index = i;
-          break;
-        }
-      } else {  // delete
-        const storage::RowLocation loc = reader.Loc();
-        if (!reader.ok()) {
-          failure = Status::InvalidArgument("malformed delete op");
-          fail_index = i;
-          break;
-        }
-        failure = CheckLocation(table, loc);
-        if (failure.ok()) failure = db_->Delete(tx, table, loc);
-        if (!failure.ok()) {
-          fail_index = i;
-          break;
-        }
-        writer.Loc(loc);
+      auto loc_result = ApplyOp(tx, cached_table, op);
+      if (!loc_result.ok()) {
+        failure = loc_result.status();
+        break;
       }
+      writer.Loc(*loc_result);
     }
     if (!failure.ok()) {
       (void)db_->Abort(tx);
       RecycleBuf(conn, std::move(payload));
-      return MakeErrorPayload(
-          kOp, WireCodeFromStatus(failure),
-          "op " + std::to_string(fail_index) + ": " +
-              std::string(failure.message()));
+      return MakeErrorPayload(kOp, WireCodeFromStatus(failure),
+                              "op " + std::to_string(i) + ": " +
+                                  std::string(failure.message()));
     }
     Status status = db_->Commit(tx);
     if (!status.ok()) {

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 #include "common/crc32.h"
 
 namespace hyrise_nv::net {
@@ -129,6 +131,14 @@ void WireWriter::Row(const std::vector<storage::Value>& row) {
   for (const auto& v : row) Value(v);
 }
 
+void WireWriter::DmlBody(uint8_t kind, const std::string& table,
+                         storage::RowLocation loc,
+                         const std::vector<storage::Value>& row) {
+  Str(table);
+  if (kind != DmlOp::kInsert) Loc(loc);
+  if (kind != DmlOp::kDelete) Row(row);
+}
+
 std::string WireReader::Str() {
   const uint32_t n = U32();
   if (error_ || len_ - pos_ < n) {
@@ -166,6 +176,22 @@ std::vector<storage::Value> WireReader::Row() {
   row.reserve(n);
   for (uint16_t i = 0; i < n && !error_; ++i) row.push_back(Value());
   return row;
+}
+
+DmlOp WireReader::DmlBody(uint8_t kind) {
+  DmlOp op;
+  op.kind = kind;
+  op.table = Str();
+  if (kind != DmlOp::kInsert) op.loc = Loc();
+  if (kind != DmlOp::kDelete) op.row = Row();
+  return op;
+}
+
+DmlOp WireReader::BatchOp() {
+  const uint8_t kind = U8();
+  if (!IsDmlKind(kind)) error_ = true;
+  if (error_) return DmlOp();
+  return DmlBody(kind);
 }
 
 std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload) {
@@ -257,6 +283,87 @@ std::vector<uint8_t> MakeStatusPayload(Opcode op, const Status& status) {
   writer.U8(static_cast<uint8_t>(op));
   writer.U8(static_cast<uint8_t>(WireCode::kOk));
   return payload;
+}
+
+std::vector<uint8_t> EncodeHello(const Hello& hello) {
+  std::vector<uint8_t> payload;
+  WireWriter writer(&payload);
+  writer.U8(static_cast<uint8_t>(Opcode::kHello));
+  writer.U32(kHelloMagic);
+  writer.U16(hello.min_version);
+  writer.U16(hello.max_version);
+  if (hello.max_version >= 2) writer.U32(hello.window);
+  return payload;
+}
+
+Result<Hello> ParseHello(WireReader& reader) {
+  const uint32_t magic = reader.U32();
+  Hello hello;
+  hello.min_version = reader.U16();
+  hello.max_version = reader.U16();
+  if (reader.remaining() >= sizeof(uint32_t)) hello.window = reader.U32();
+  if (!reader.ok()) return Status::InvalidArgument("truncated hello");
+  if (magic != kHelloMagic) return Status::InvalidArgument("bad hello magic");
+  return hello;
+}
+
+std::vector<uint8_t> EncodeHelloReply(const HelloReply& reply) {
+  std::vector<uint8_t> payload;
+  WireWriter writer(&payload);
+  writer.U8(static_cast<uint8_t>(Opcode::kHello));
+  writer.U8(static_cast<uint8_t>(WireCode::kOk));
+  writer.U16(reply.version);
+  writer.U8(reply.mode);
+  writer.U64(reply.session_id);
+  if (reply.version >= 2) writer.U32(reply.window);
+  return payload;
+}
+
+Result<HelloReply> ParseHelloReply(const uint8_t* data, size_t len,
+                                   WireCode* code) {
+  WireReader reader(data, len);
+  const uint8_t op = reader.U8();
+  const auto wire_code = static_cast<WireCode>(reader.U8());
+  if (!reader.ok() || op != static_cast<uint8_t>(Opcode::kHello)) {
+    return Status::IOError("malformed handshake response");
+  }
+  if (code != nullptr) *code = wire_code;
+  if (wire_code != WireCode::kOk) {
+    return StatusFromWire(wire_code, reader.Str());
+  }
+  HelloReply reply;
+  reply.version = reader.U16();
+  reply.mode = reader.U8();
+  reply.session_id = reader.U64();
+  if (!reader.ok()) return Status::IOError("truncated handshake response");
+  if (reply.version >= 2) {
+    reply.window = reader.U32();
+    if (!reader.ok() || reply.window == 0) {
+      return Status::IOError("v2 handshake response carries no window");
+    }
+  }
+  return reply;
+}
+
+Result<HelloReply> Negotiate(const Hello& hello, uint32_t window_cap) {
+  if (hello.min_version > kProtocolVersionMax ||
+      hello.max_version < kProtocolVersionMin ||
+      hello.min_version > hello.max_version) {
+    return Status::NotSupported(
+        "no common protocol version: client [" +
+        std::to_string(hello.min_version) + "," +
+        std::to_string(hello.max_version) + "], server [" +
+        std::to_string(kProtocolVersionMin) + "," +
+        std::to_string(kProtocolVersionMax) + "]");
+  }
+  HelloReply reply;
+  reply.version = std::min(hello.max_version, kProtocolVersionMax);
+  if (reply.version >= 2) {
+    const uint32_t wanted =
+        hello.window == 0 ? kDefaultPipelineWindow : hello.window;
+    reply.window = std::clamp(wanted, 1u, std::max(1u, window_cap));
+  }
+  return reply;
 }
 
 }  // namespace hyrise_nv::net

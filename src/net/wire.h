@@ -44,7 +44,9 @@ namespace hyrise_nv::net {
 /// directions — the framing switches to v2 only after both sides know the
 /// negotiated version. A v2 hello request appends [u32 requested_window]
 /// and a v2 hello response appends [u32 granted_window]; a v1 peer never
-/// sees either field (DESIGN.md §17).
+/// sees either field (DESIGN.md §17). Every endpoint encodes and parses
+/// the hello and the DML op body through the codec below (Hello,
+/// HelloReply, Negotiate, DmlBody) instead of writing the bytes itself.
 
 // --- Protocol constants ---------------------------------------------------
 
@@ -95,10 +97,9 @@ enum class Opcode : uint8_t {
   // commits once — one group-commit fsync and one ordered publish for
   // the batch, atomically (any failure aborts the whole batch). Body:
   // [u32 count] then per op [u8 kind: 1=insert 2=update 3=delete]
-  // followed by the op's body without a tid (insert: [str table][row],
-  // update: [str table][loc][row], delete: [str table][loc]). Response
-  // body: [u32 count][loc]*count [u64 cid]; an error response carries
-  // the failing op index as "op N: message".
+  // followed by the op's body (WireWriter::DmlBody). Response body:
+  // [u32 count][loc]*count [u64 cid]; an error response carries the
+  // failing op index as "op N: message".
   kDmlBatch = 21,
 };
 
@@ -106,6 +107,37 @@ constexpr Opcode kLastOpcode = Opcode::kDmlBatch;
 
 const char* OpcodeName(Opcode op);
 bool IsKnownOpcode(uint8_t op);
+
+/// One DML operation as the wire carries it: a kDmlBatch op, or the body
+/// of a single kInsert/kUpdate/kDelete request. `kind` uses the wire
+/// values of kDmlBatch.
+struct DmlOp {
+  static constexpr uint8_t kInsert = 1;
+  static constexpr uint8_t kUpdate = 2;
+  static constexpr uint8_t kDelete = 3;
+  uint8_t kind = kInsert;
+  std::string table;
+  storage::RowLocation loc;         // update/delete
+  std::vector<storage::Value> row;  // insert/update
+};
+
+constexpr bool IsDmlKind(uint8_t kind) {
+  return kind >= DmlOp::kInsert && kind <= DmlOp::kDelete;
+}
+
+/// The single-op opcode of a DmlOp kind, and back. Both enumerations run
+/// insert, update, delete in the same order.
+constexpr Opcode DmlOpcode(uint8_t kind) {
+  return static_cast<Opcode>(static_cast<uint8_t>(Opcode::kInsert) + kind -
+                             DmlOp::kInsert);
+}
+constexpr uint8_t DmlKind(Opcode op) {
+  return static_cast<uint8_t>(static_cast<uint8_t>(op) -
+                              static_cast<uint8_t>(Opcode::kInsert) +
+                              DmlOp::kInsert);
+}
+static_assert(DmlOpcode(DmlOp::kDelete) == Opcode::kDelete);
+static_assert(DmlKind(Opcode::kUpdate) == DmlOp::kUpdate);
 
 /// Wire error codes. 0..10 mirror StatusCode values exactly; the serving
 /// layer appends its own codes above them.
@@ -161,6 +193,16 @@ class WireWriter {
     U8(loc.in_main ? 1 : 0);
     U64(loc.row);
   }
+  /// A DML op body: [str table], then [loc] for update/delete, then [row]
+  /// for insert/update. A single-op request puts [u64 tid] before it, a
+  /// kDmlBatch op puts [u8 kind]. Takes the pieces so a caller never
+  /// copies its row into a DmlOp just to encode it.
+  void DmlBody(uint8_t kind, const std::string& table,
+               storage::RowLocation loc,
+               const std::vector<storage::Value>& row);
+  void DmlBody(const DmlOp& op) {
+    DmlBody(op.kind, op.table, op.loc, op.row);
+  }
 
  private:
   void Raw(const void* data, size_t len) {
@@ -211,6 +253,11 @@ class WireReader {
     loc.row = U64();
     return loc;
   }
+  /// The DML op body WireWriter::DmlBody writes, for an op of `kind`.
+  DmlOp DmlBody(uint8_t kind);
+  /// One kDmlBatch op: [u8 kind] + body. An unknown kind latches the
+  /// error.
+  DmlOp BatchOp();
 
   bool ok() const { return !error_; }
   /// True when the whole buffer was consumed and no read overran.
@@ -274,6 +321,44 @@ struct WireRow {
   storage::RowLocation loc;
   std::vector<storage::Value> values;
 };
+
+// --- Handshake ------------------------------------------------------------
+
+/// A hello request: [u8 kHello][u32 kHelloMagic][u16 min][u16 max], then
+/// [u32 window] when max >= 2 (0 asks for the server default).
+struct Hello {
+  uint16_t min_version = kProtocolVersionMin;
+  uint16_t max_version = kProtocolVersionMax;
+  uint32_t window = 0;
+};
+std::vector<uint8_t> EncodeHello(const Hello& hello);
+/// Parses a hello body, `reader` positioned after the opcode. The window
+/// field is read when present. A bad magic or a truncated body fails with
+/// InvalidArgument: a protocol error that closes the connection.
+Result<Hello> ParseHello(WireReader& reader);
+
+/// An OK hello response: [u8 kHello][u8 kOk][u16 version][u8 mode]
+/// [u64 session_id], then [u32 window] when version >= 2.
+struct HelloReply {
+  uint16_t version = kProtocolVersionMin;
+  uint8_t mode = 0;  // core::DurabilityMode of the server, as a raw byte
+  uint64_t session_id = 0;
+  uint32_t window = 0;  // granted pipeline window; 0 on v1
+};
+std::vector<uint8_t> EncodeHelloReply(const HelloReply& reply);
+/// Parses a whole hello response payload. A refusal comes back as its
+/// wire code's Status. A v2 reply without a window, or with window 0, is
+/// refused as IOError. `code`, when given, receives the response's wire
+/// code.
+Result<HelloReply> ParseHelloReply(const uint8_t* data, size_t len,
+                                   WireCode* code = nullptr);
+
+/// The server half of the handshake: picks the highest version both
+/// ranges share and, for v2, grants the requested window (0 = the
+/// default) clamped to [1, window_cap]. The caller fills in the reply's
+/// mode and session id. Disjoint or inverted ranges fail with
+/// NotSupported naming both.
+Result<HelloReply> Negotiate(const Hello& hello, uint32_t window_cap);
 
 }  // namespace hyrise_nv::net
 

@@ -703,6 +703,72 @@ TEST_F(RouterTest, ResolverConvergesInDoubtBothDirections) {
   EXPECT_TRUE(abandoned->rows.empty()) << "presumed abort did not happen";
 }
 
+/// Sends one v1-framed `payload` on `fd` and returns the reply payload.
+std::vector<uint8_t> Exchange(int fd, const std::vector<uint8_t>& payload) {
+  EXPECT_TRUE(net::WriteFrame(fd, payload).ok());
+  auto reply = net::ReadFrame(fd, 2000);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? *reply : std::vector<uint8_t>();
+}
+
+TEST_F(RouterTest, OversizedDmlBatchCountIsRefusedNotFatal) {
+  // A batch announcing 2^32-1 ops and carrying none: the router must
+  // answer it like a shard does, not size anything by the peer's count.
+  StartRouter();
+  auto fd = net::ConnectTcp("127.0.0.1", router_->port(), 2000);
+  ASSERT_TRUE(fd.ok());
+  std::vector<uint8_t> hello;
+  net::WireWriter hello_writer(&hello);
+  hello_writer.U8(static_cast<uint8_t>(net::Opcode::kHello));
+  hello_writer.U32(net::kHelloMagic);
+  hello_writer.U16(1);
+  hello_writer.U16(1);
+  const std::vector<uint8_t> hello_reply = Exchange(fd->get(), hello);
+  ASSERT_GE(hello_reply.size(), 2u);
+  ASSERT_EQ(hello_reply[1], static_cast<uint8_t>(net::WireCode::kOk));
+  std::vector<uint8_t> batch;
+  net::WireWriter batch_writer(&batch);
+  batch_writer.U8(static_cast<uint8_t>(net::Opcode::kDmlBatch));
+  batch_writer.U32(0xFFFFFFFFu);
+  const std::vector<uint8_t> batch_reply = Exchange(fd->get(), batch);
+  ASSERT_GE(batch_reply.size(), 2u);
+  EXPECT_EQ(batch_reply[1],
+            static_cast<uint8_t>(net::WireCode::kInvalidArgument));
+
+  net::Client client(RouterClientOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(RouterTest, HelloAnsweredExactlyAsTheShardAnswers) {
+  // An inverted range and a range above the protocol: through the
+  // router the client must get the shard's own code and message.
+  StartRouter();
+  for (const auto& [min_version, max_version] :
+       {std::pair<uint16_t, uint16_t>{2, 1},
+        std::pair<uint16_t, uint16_t>{3, 9}}) {
+    std::vector<uint8_t> hello;
+    net::WireWriter writer(&hello);
+    writer.U8(static_cast<uint8_t>(net::Opcode::kHello));
+    writer.U32(net::kHelloMagic);
+    writer.U16(min_version);
+    writer.U16(max_version);
+    if (max_version >= 2) writer.U32(0);
+    auto shard_fd = net::ConnectTcp("127.0.0.1", servers_[0]->port(), 2000);
+    auto router_fd = net::ConnectTcp("127.0.0.1", router_->port(), 2000);
+    ASSERT_TRUE(shard_fd.ok());
+    ASSERT_TRUE(router_fd.ok());
+    const std::vector<uint8_t> shard_reply = Exchange(shard_fd->get(), hello);
+    const std::vector<uint8_t> router_reply =
+        Exchange(router_fd->get(), hello);
+    ASSERT_GE(shard_reply.size(), 2u);
+    EXPECT_EQ(shard_reply[1],
+              static_cast<uint8_t>(net::WireCode::kNotSupported));
+    EXPECT_EQ(router_reply, shard_reply)
+        << "hello [" << min_version << "," << max_version << "]";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 4. Real SIGKILL over the wire. Forked with live threads -> no TSan.
 // ---------------------------------------------------------------------------

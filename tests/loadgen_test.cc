@@ -11,6 +11,8 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -180,27 +182,37 @@ TEST(LoadgenEndToEndTest, ShortRunAgainstInProcessServer) {
     ASSERT_TRUE(client.Commit().ok());
   }
 
-  net::LoadgenOptions load;
-  load.port = server->port();
-  load.connections = 8;
-  load.rate_rps = 500;
-  load.duration_s = 1.0;
-  load.warmup_s = 0.2;
-  load.keys = 100;
-  load.timeline = true;
-  auto report_result = net::RunOpenLoopLoad(load);
-  ASSERT_TRUE(report_result.ok()) << report_result.status().ToString();
-  const net::LoadgenReport& report = *report_result;
+  // Every wire path the generator has: v2 one-op kDmlBatch writes at
+  // depth 1 and pipelined at depth 4, and v1 begin/insert/commit.
+  for (const auto& [protocol_max, depth] :
+       {std::pair<uint16_t, int>{2, 1}, std::pair<uint16_t, int>{2, 4},
+        std::pair<uint16_t, int>{1, 1}}) {
+    SCOPED_TRACE("protocol " + std::to_string(protocol_max) + " depth " +
+                 std::to_string(depth));
+    net::LoadgenOptions load;
+    load.port = server->port();
+    load.connections = 8;
+    load.rate_rps = 500;
+    load.duration_s = 1.0;
+    load.warmup_s = 0.2;
+    load.keys = 100;
+    load.timeline = true;
+    load.protocol_max = protocol_max;
+    load.pipeline_depth = depth;
+    auto report_result = net::RunOpenLoopLoad(load);
+    ASSERT_TRUE(report_result.ok()) << report_result.status().ToString();
+    const net::LoadgenReport& report = *report_result;
 
-  EXPECT_EQ(report.protocol_errors, 0u);
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(report.abandoned, 0u);
-  EXPECT_GT(report.ops_completed, 0u);
-  EXPECT_GT(report.p50_us, 0.0);
-  EXPECT_GE(report.p99_us, report.p50_us);
-  EXPECT_GE(report.p999_us, report.p99_us);
-  EXPECT_GE(report.max_us, report.p999_us);
-  EXPECT_FALSE(report.timeline.empty());
+    EXPECT_EQ(report.protocol_errors, 0u);
+    EXPECT_EQ(report.errors, 0u);
+    EXPECT_EQ(report.abandoned, 0u);
+    EXPECT_GT(report.ops_completed, 0u);
+    EXPECT_GT(report.p50_us, 0.0);
+    EXPECT_GE(report.p99_us, report.p50_us);
+    EXPECT_GE(report.p999_us, report.p99_us);
+    EXPECT_GE(report.max_us, report.p999_us);
+    EXPECT_FALSE(report.timeline.empty());
+  }
 
   server->Drain();
   server->Wait();

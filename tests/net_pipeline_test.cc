@@ -300,9 +300,9 @@ TEST_F(PipelineTest, DmlBatchAtomicAndErrorsNameTheOp) {
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_EQ(client.protocol_version(), 2);
 
-  std::vector<Client::DmlOp> good(3);
+  std::vector<DmlOp> good(3);
   for (int i = 0; i < 3; ++i) {
-    good[i].kind = Client::DmlOp::kInsert;
+    good[i].kind = DmlOp::kInsert;
     good[i].table = "kv";
     good[i].row = {Value(int64_t{i}), Value(std::string("b"))};
   }
@@ -313,7 +313,7 @@ TEST_F(PipelineTest, DmlBatchAtomicAndErrorsNameTheOp) {
 
   // Op 1 targets a missing table: the WHOLE batch must abort (ops 0 and
   // 2 included) and the error must name the failing index.
-  std::vector<Client::DmlOp> bad = good;
+  std::vector<DmlOp> bad = good;
   bad[1].table = "nope";
   auto failed = client.DmlBatch(bad);
   ASSERT_FALSE(failed.ok());

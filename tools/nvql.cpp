@@ -314,10 +314,10 @@ int RunCommand(net::Client& client, const std::vector<std::string>& args,
     return 0;
   }
   if (cmd == "batch-insert" && args.size() >= 3) {
-    std::vector<net::Client::DmlOp> ops;
+    std::vector<net::DmlOp> ops;
     for (size_t a = 2; a < args.size(); ++a) {
-      net::Client::DmlOp op;
-      op.kind = net::Client::DmlOp::kInsert;
+      net::DmlOp op;
+      op.kind = net::DmlOp::kInsert;
       op.table = args[1];
       const std::string& row_text = args[a];
       size_t pos = 0;
