@@ -35,6 +35,10 @@ using net::WireWriter;
 constexpr uint64_t kShardTagShift = 56;
 constexpr uint64_t kRowMask = (1ull << kShardTagShift) - 1;
 
+/// Shard clients dial with this timeout and read with ClientOptions'
+/// default (10 s).
+constexpr int kShardConnectTimeoutMs = 1'000;
+
 storage::RowLocation TagLoc(storage::RowLocation loc, size_t shard) {
   loc.row |= static_cast<uint64_t>(shard) << kShardTagShift;
   return loc;
@@ -133,6 +137,7 @@ class Router::Impl {
     net::OwnedFd fd;
     uint64_t id = 0;
     std::thread thread;
+    std::atomic<bool> done{false};  // SessionLoop has returned
   };
 
   /// Everything a session thread owns: one lazily-connected Client per
@@ -157,8 +162,7 @@ class Router::Impl {
     net::ClientOptions opts;
     opts.host = options_.shards[shard].host;
     opts.port = options_.shards[shard].port;
-    opts.connect_timeout_ms = options_.shard_connect_timeout_ms;
-    opts.read_timeout_ms = options_.shard_read_timeout_ms;
+    opts.connect_timeout_ms = kShardConnectTimeoutMs;
     opts.max_retries = options_.shard_max_retries;
     return opts;
   }
@@ -167,6 +171,7 @@ class Router::Impl {
 
   void AcceptLoop() {
     while (!stop_.load(std::memory_order_acquire)) {
+      ReapSessions();
       pollfd pfd{listen_fd_.get(), POLLIN, 0};
       const int ready = ::poll(&pfd, 1, 100);
       if (ready <= 0) continue;
@@ -183,6 +188,17 @@ class Router::Impl {
     }
   }
 
+  /// Joins and frees the sessions that have ended, closing their sockets.
+  /// An ended session's thread is returning, so the join does not block.
+  void ReapSessions() {
+    std::lock_guard<std::mutex> guard(sessions_mutex_);
+    std::erase_if(sessions_, [](const std::unique_ptr<Session>& session) {
+      if (!session->done.load(std::memory_order_acquire)) return false;
+      session->thread.join();
+      return true;
+    });
+  }
+
   void SessionLoop(Session* session) {
     sessions_open_.fetch_add(1, std::memory_order_relaxed);
     SessionCtx ctx;
@@ -196,47 +212,43 @@ class Router::Impl {
       // the first post-hello frame, and the router echoes each request's
       // tag on its response. The session is processed strictly FIFO —
       // a legal v2 completion order — so pipelined clients simply keep
-      // the router's socket fed.
+      // the router's socket fed. Frames are refused by the shard's own
+      // rules (DESIGN.md §10.2); only a failed socket ends the session
+      // without an answer.
       uint32_t tag = 0;
-      std::vector<uint8_t> payload;
-      if (version >= 2) {
-        auto frame_result = net::ReadTaggedFrame(fd);
-        if (!frame_result.ok()) break;
-        tag = frame_result->tag;
-        payload = std::move(frame_result->payload);
-      } else {
-        auto frame_result = net::ReadFrame(fd);
-        if (!frame_result.ok()) break;
-        payload = std::move(*frame_result);
+      auto request = net::RecvFrame(fd, version, 0, &tag);
+      if (!request.ok() && request.status().code() == StatusCode::kIOError) {
+        break;
       }
-      if (payload.empty()) break;
-      const uint8_t op_byte = payload[0];
-      if (!net::IsKnownOpcode(op_byte)) break;
-      const Opcode op = static_cast<Opcode>(op_byte);
-      WireReader reader(payload.data() + 1, payload.size() - 1);
-      if (!handshaken) {
-        if (op != Opcode::kHello) break;
-        std::vector<uint8_t> response;
-        handshaken = HandleHello(session, reader, &response, &version);
-        if (!net::WriteFrame(fd, response).ok() || !handshaken) break;
-        continue;
-      }
-      requests_.fetch_add(1, std::memory_order_relaxed);
+      const uint16_t reply_version = version;  // the hello reply is v1
       std::vector<uint8_t> response;
-      bool close_after = false;
-      if (draining_.load(std::memory_order_acquire) &&
-          op != Opcode::kDrain) {
-        response =
-            MakeErrorPayload(op, WireCode::kDraining, "router is draining");
+      bool close_after = true;
+      if (!request.ok()) {
+        response = net::MakeFrameErrorPayload(request.status());
+        tag = 0;
       } else {
-        response = Route(op, &ctx, reader, &close_after);
+        const net::Refusal refusal =
+            net::RefuseRequest((*request)[0], handshaken, &response);
+        const Opcode op = static_cast<Opcode>((*request)[0]);
+        WireReader reader(request->data() + 1, request->size() - 1);
+        if (refusal != net::Refusal::kNone) {
+          close_after = refusal == net::Refusal::kClose;
+        } else if (!handshaken) {
+          handshaken = HandleHello(session, reader, &response, &version);
+          close_after = !handshaken;
+        } else {
+          close_after = false;
+          response = Route(op, &ctx, reader, &close_after);
+        }
       }
-      const Status write_status =
-          version >= 2 ? net::WriteTaggedFrame(fd, tag, response)
-                       : net::WriteFrame(fd, response);
-      if (!write_status.ok()) break;
-      if (close_after) break;
+      if (!net::SendFrame(fd, reply_version, tag, response).ok() ||
+          close_after) {
+        break;
+      }
     }
+    // The client sees EOF as soon as the session ends, as from a shard;
+    // the accept loop closes the socket when it reaps the session.
+    ::shutdown(fd, SHUT_RDWR);
     // Client gone with a transaction still open: abort it on every shard
     // it touched. Prepared (2PC) work is never here — prepare hands the
     // backend transaction over to the shard's prepared registry and the
@@ -249,6 +261,7 @@ class Router::Impl {
       }
     }
     sessions_open_.fetch_add(-1, std::memory_order_relaxed);
+    session->done.store(true, std::memory_order_release);
   }
 
   /// Answers a hello with the shard's own parser and negotiation, so a
@@ -262,10 +275,10 @@ class Router::Impl {
                                    hello.status().message());
       return false;
     }
-    // The router never sheds on window overflow (its session loop is
-    // FIFO — excess requests just queue in the socket), so it grants up
-    // to the protocol maximum.
-    auto reply = net::Negotiate(*hello, net::kMaxPipelineWindow);
+    // The router grants the window a shard would, though it never sheds
+    // on overflow: its session loop is FIFO, and excess requests just
+    // queue in the socket.
+    auto reply = net::Negotiate(*hello);
     if (!reply.ok()) {
       *response = MakeStatusPayload(Opcode::kHello, reply.status());
       return false;
@@ -328,6 +341,10 @@ class Router::Impl {
 
   std::vector<uint8_t> Route(Opcode op, SessionCtx* ctx, WireReader& reader,
                              bool* close_after) {
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    if (draining_.load(std::memory_order_acquire) && op != Opcode::kDrain) {
+      return MakeErrorPayload(op, WireCode::kDraining, "router is draining");
+    }
     switch (op) {
       case Opcode::kPing:
         return MakeStatusPayload(op, Status::OK());

@@ -30,8 +30,6 @@ struct RouterOptions {
   /// Per-session shard-client reconnect budget. Sized so a session op
   /// rides out a shard kill -9 + instant restart (the whole point).
   int shard_max_retries = 12;
-  int shard_connect_timeout_ms = 1'000;
-  int shard_read_timeout_ms = 10'000;
   /// In-doubt resolver sweep interval.
   int resolver_interval_ms = 200;
 };

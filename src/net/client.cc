@@ -73,49 +73,26 @@ Result<std::vector<uint8_t>> Client::Roundtrip(
     return Status::IOError("client is not connected");
   }
   const auto rtt_start = std::chrono::steady_clock::now();
-  const auto stamp_rtt = [&] {
-    last_rtt_ns_ = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - rtt_start)
-            .count());
-  };
-  Status status;
-  if (protocol_version_ >= 2) {
-    // One outstanding request at a time, but over the negotiated tagged
-    // framing: the server echoes the tag and a mismatch means the
-    // session's response stream is out of sync — unrecoverable here.
-    const uint32_t tag = next_tag_++;
-    if (next_tag_ == 0) next_tag_ = 1;  // 0 is fine but keep tags nonzero
-    status = WriteTaggedFrame(fd_.get(), tag, payload);
-    if (status.ok()) {
-      auto frame_result =
-          ReadTaggedFrame(fd_.get(), options_.read_timeout_ms);
-      stamp_rtt();
-      if (frame_result.ok()) {
-        if (frame_result->tag != tag) {
-          status = Status::IOError(
-              "response tag mismatch: sent " + std::to_string(tag) +
-              ", got " + std::to_string(frame_result->tag));
-        } else {
-          return std::move(frame_result->payload);
-        }
-      } else {
-        status = frame_result.status();
-      }
-    } else {
-      stamp_rtt();
-    }
-  } else {
-    status = WriteFrame(fd_.get(), payload);
-    if (status.ok()) {
-      auto frame_result = ReadFrame(fd_.get(), options_.read_timeout_ms);
-      stamp_rtt();
-      if (frame_result.ok()) return frame_result;
-      status = frame_result.status();
-    } else {
-      stamp_rtt();
-    }
-  }
+  // One outstanding request at a time. On v2 the server echoes the tag,
+  // and a mismatch means the session's response stream is out of sync —
+  // unrecoverable here. v1 frames carry no tag, so both sides read 0.
+  const uint32_t tag = protocol_version_ >= 2 ? next_tag_++ : 0;
+  if (next_tag_ == 0) next_tag_ = 1;  // 0 is fine but keep tags nonzero
+  uint32_t echoed = 0;
+  Status sent = SendFrame(fd_.get(), protocol_version_, tag, payload);
+  auto response = sent.ok() ? RecvFrame(fd_.get(), protocol_version_,
+                                        options_.read_timeout_ms, &echoed)
+                            : Result<std::vector<uint8_t>>(std::move(sent));
+  last_rtt_ns_ = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - rtt_start)
+          .count());
+  if (response.ok() && echoed == tag) return response;
+  Status status = response.ok()
+                      ? Status::IOError("response tag mismatch: sent " +
+                                        std::to_string(tag) + ", got " +
+                                        std::to_string(echoed))
+                      : response.status();
   // Transport failure: this connection is gone. Re-dial so the next
   // request works, but surface the failure — the request may or may not
   // have executed server-side, and only the caller can decide whether it

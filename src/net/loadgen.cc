@@ -225,8 +225,7 @@ class OpenLoopDriver {
                                          storage::Value(value_payload_)});
       const uint32_t tag = conn->next_tag++;
       if (conn->next_tag == 0) conn->next_tag = 1;
-      const std::vector<uint8_t> frame = EncodeTaggedFrame(tag, payload);
-      conn->out.insert(conn->out.end(), frame.begin(), frame.end());
+      AppendFrame(conn, payload, tag);
       conn->tag_to_op.emplace(tag, op_id);
       ++in_flight_;
       MarkDirty(conn);
@@ -287,9 +286,10 @@ class OpenLoopDriver {
     dirty_.clear();
   }
 
-  static void AppendFrame(LoadConn* conn,
-                          const std::vector<uint8_t>& payload) {
-    const std::vector<uint8_t> frame = EncodeFrame(payload);
+  static void AppendFrame(LoadConn* conn, const std::vector<uint8_t>& payload,
+                          uint32_t tag = 0) {
+    const std::vector<uint8_t> frame =
+        EncodeFrame(conn->version, tag, payload);
     conn->out.insert(conn->out.end(), frame.begin(), frame.end());
   }
 
@@ -403,34 +403,22 @@ class OpenLoopDriver {
   }
 
   void ParseResponses(LoadConn* conn) {
-    const size_t header_bytes =
-        conn->version >= 2 ? kFrameHeaderBytesV2 : kFrameHeaderBytes;
-    while (conn->in.size() - conn->in_pos >= header_bytes) {
-      const uint8_t* header = conn->in.data() + conn->in_pos;
-      auto len_result = DecodeFrameHeader(header, kMaxFrameBytes);
-      if (!len_result.ok()) {
+    while (!conn->dead) {
+      FrameView frame;
+      if (!NextFrame(conn->version, conn->in.data() + conn->in_pos,
+                     conn->in.size() - conn->in_pos, &frame)
+               .ok()) {
         ++report_.protocol_errors;
         KillConn(conn);
         return;
       }
-      const uint32_t len = *len_result;
-      if (conn->in.size() - conn->in_pos < header_bytes + len) break;
-      const uint8_t* payload = header + header_bytes;
-      const Status crc = conn->version >= 2
-                             ? CheckTaggedFrameCrc(header, payload, len)
-                             : CheckFrameCrc(header, payload, len);
-      if (!crc.ok()) {
-        ++report_.protocol_errors;
-        KillConn(conn);
-        return;
-      }
-      conn->in_pos += header_bytes + len;
+      if (frame.consumed == 0) return;
+      conn->in_pos += frame.consumed;
       if (conn->version >= 2) {
-        OnTaggedResponseFrame(conn, TaggedFrameTag(header), payload, len);
+        OnTaggedResponseFrame(conn, frame.tag, frame.payload, frame.len);
       } else {
-        OnResponseFrame(conn, payload, len);
+        OnResponseFrame(conn, frame.payload, frame.len);
       }
-      if (conn->dead) return;
     }
   }
 

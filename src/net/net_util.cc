@@ -171,47 +171,25 @@ Status RecvAll(int fd, void* out, size_t len, int timeout_ms) {
   return Status::OK();
 }
 
-Status WriteFrame(int fd, const std::vector<uint8_t>& payload) {
-  const std::vector<uint8_t> frame = EncodeFrame(payload);
+Status SendFrame(int fd, uint16_t version, uint32_t tag,
+                 const std::vector<uint8_t>& payload) {
+  const std::vector<uint8_t> frame = EncodeFrame(version, tag, payload);
   return SendAll(fd, frame.data(), frame.size());
 }
 
-Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms,
-                                       uint32_t max_payload) {
-  uint8_t header[kFrameHeaderBytes];
-  HYRISE_NV_RETURN_NOT_OK(RecvAll(fd, header, sizeof(header), timeout_ms));
-  auto len_result = DecodeFrameHeader(header, max_payload);
-  if (!len_result.ok()) return len_result.status();
-  std::vector<uint8_t> payload(*len_result);
-  HYRISE_NV_RETURN_NOT_OK(
-      RecvAll(fd, payload.data(), payload.size(), timeout_ms));
-  HYRISE_NV_RETURN_NOT_OK(
-      CheckFrameCrc(header, payload.data(),
-                    static_cast<uint32_t>(payload.size())));
-  return payload;
-}
-
-Status WriteTaggedFrame(int fd, uint32_t tag,
-                        const std::vector<uint8_t>& payload) {
-  const std::vector<uint8_t> frame = EncodeTaggedFrame(tag, payload);
-  return SendAll(fd, frame.data(), frame.size());
-}
-
-Result<TaggedFrame> ReadTaggedFrame(int fd, int timeout_ms,
-                                    uint32_t max_payload) {
+Result<std::vector<uint8_t>> RecvFrame(int fd, uint16_t version,
+                                       int timeout_ms, uint32_t* tag) {
   uint8_t header[kFrameHeaderBytesV2];
-  HYRISE_NV_RETURN_NOT_OK(RecvAll(fd, header, sizeof(header), timeout_ms));
-  auto len_result = DecodeFrameHeader(header, max_payload);
-  if (!len_result.ok()) return len_result.status();
-  TaggedFrame frame;
-  frame.tag = TaggedFrameTag(header);
-  frame.payload.resize(*len_result);
   HYRISE_NV_RETURN_NOT_OK(
-      RecvAll(fd, frame.payload.data(), frame.payload.size(), timeout_ms));
+      RecvAll(fd, header, FrameHeaderBytes(version), timeout_ms));
+  auto len = DecodeFrameHeader(header);
+  if (!len.ok()) return len.status();
+  std::vector<uint8_t> payload(*len);
+  HYRISE_NV_RETURN_NOT_OK(RecvAll(fd, payload.data(), *len, timeout_ms));
   HYRISE_NV_RETURN_NOT_OK(
-      CheckTaggedFrameCrc(header, frame.payload.data(),
-                          static_cast<uint32_t>(frame.payload.size())));
-  return frame;
+      CheckFrameCrc(version, header, payload.data(), *len));
+  if (tag != nullptr) *tag = version >= 2 ? TaggedFrameTag(header) : 0;
+  return payload;
 }
 
 Result<HelloReply> ExchangeHello(int fd, const Hello& hello, int timeout_ms,

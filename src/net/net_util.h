@@ -70,23 +70,23 @@ Status SendAll(int fd, const void* data, size_t len);
 /// blocking sockets).
 Status RecvAll(int fd, void* out, size_t len, int timeout_ms = 0);
 
-/// Blocking frame I/O for clients and tests. WriteFrame frames and sends
-/// `payload`; ReadFrame receives one frame, validating length cap and
-/// CRC.
-Status WriteFrame(int fd, const std::vector<uint8_t>& payload);
-Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms = 0,
-                                       uint32_t max_payload =
-                                           kMaxFrameBytes);
-
-/// Blocking v2 tagged-frame I/O (post-handshake on a v2 connection).
-struct TaggedFrame {
-  uint32_t tag = 0;
-  std::vector<uint8_t> payload;
-};
-Status WriteTaggedFrame(int fd, uint32_t tag,
-                        const std::vector<uint8_t>& payload);
-Result<TaggedFrame> ReadTaggedFrame(int fd, int timeout_ms = 0,
-                                    uint32_t max_payload = kMaxFrameBytes);
+/// Blocking frame I/O under the negotiated `version`. SendFrame frames
+/// and sends `payload`; RecvFrame receives one frame through the codec's
+/// length and CRC checks (codec failures are InvalidArgument or
+/// Corruption, socket failures IOError) and stores its tag, 0 on v1, in
+/// `tag` when given. `timeout_ms` > 0 bounds each wait.
+Status SendFrame(int fd, uint16_t version, uint32_t tag,
+                 const std::vector<uint8_t>& payload);
+Result<std::vector<uint8_t>> RecvFrame(int fd, uint16_t version,
+                                       int timeout_ms,
+                                       uint32_t* tag = nullptr);
+/// v1 forms, as the hello exchange uses.
+inline Status WriteFrame(int fd, const std::vector<uint8_t>& payload) {
+  return SendFrame(fd, 1, 0, payload);
+}
+inline Result<std::vector<uint8_t>> ReadFrame(int fd, int timeout_ms = 0) {
+  return RecvFrame(fd, 1, timeout_ms);
+}
 
 /// The client half of the handshake: writes `hello` and reads the reply,
 /// both v1-framed whatever version is offered (DESIGN.md §17.1), and

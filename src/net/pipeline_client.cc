@@ -4,6 +4,13 @@
 
 namespace hyrise_nv::net {
 
+namespace {
+
+/// Pipelining needs tagged frames; Connect refuses a v1 server.
+constexpr uint16_t kTaggedVersion = 2;
+
+}  // namespace
+
 Status PipelinedClient::Completion::ToStatus() const {
   if (code == WireCode::kOk) return Status::OK();
   WireReader reader(body.data(), body.size());
@@ -55,7 +62,7 @@ Result<uint32_t> PipelinedClient::Submit(
   }
   const uint32_t tag = next_tag_++;
   if (next_tag_ == 0) next_tag_ = 1;
-  Status status = WriteTaggedFrame(fd_.get(), tag, payload);
+  Status status = SendFrame(fd_.get(), kTaggedVersion, tag, payload);
   if (!status.ok()) {
     Close();
     return status;
@@ -65,12 +72,13 @@ Result<uint32_t> PipelinedClient::Submit(
 }
 
 Status PipelinedClient::ReadOne() {
-  auto frame_result = ReadTaggedFrame(fd_.get(), options_.read_timeout_ms);
+  uint32_t tag = 0;
+  auto frame_result = RecvFrame(fd_.get(), kTaggedVersion,
+                                options_.read_timeout_ms, &tag);
   if (!frame_result.ok()) {
     Close();
     return frame_result.status();
   }
-  const uint32_t tag = frame_result->tag;
   const bool known =
       std::find(order_.begin(), order_.end(), tag) != order_.end() &&
       stash_.find(tag) == stash_.end();
@@ -80,8 +88,7 @@ Status PipelinedClient::ReadOne() {
                            std::to_string(tag) +
                            "; pipeline stream out of sync");
   }
-  WireReader reader(frame_result->payload.data(),
-                    frame_result->payload.size());
+  WireReader reader(frame_result->data(), frame_result->size());
   Completion completion;
   completion.tag = tag;
   completion.op = static_cast<Opcode>(reader.U8());
@@ -90,8 +97,7 @@ Status PipelinedClient::ReadOne() {
     Close();
     return Status::IOError("truncated response header");
   }
-  completion.body.assign(frame_result->payload.begin() + 2,
-                         frame_result->payload.end());
+  completion.body.assign(frame_result->begin() + 2, frame_result->end());
   stash_.emplace(tag, std::move(completion));
   return Status::OK();
 }

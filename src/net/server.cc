@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "core/query.h"
 #include "net/net_util.h"
@@ -65,7 +64,7 @@ struct PendingRequest {
 };
 
 /// One encoded response waiting to reach the socket: the frame header
-/// (8 bytes on v1, 12 on v2) plus the payload it frames. Responses are
+/// EncodeFrameHeader wrote plus the payload it frames. Responses are
 /// flushed as an iovec chain via writev — the payload is never copied
 /// into a contiguous out buffer.
 struct OutBuf {
@@ -687,9 +686,7 @@ class ServerImpl {
 
   /// One complete frame discovered by the batch scan, pending execution.
   struct FrameRef {
-    size_t header_off = 0;  // offset of the frame header in conn->in
-    uint32_t len = 0;
-    uint32_t tag = 0;
+    FrameView frame;     // points into conn->in
     uint64_t ticks = 0;  // frame-read-complete timestamp
     bool hoist = false;  // v2 ad-hoc read: may complete ahead of DML
   };
@@ -721,34 +718,22 @@ class ServerImpl {
   /// false when the connection was closed (protocol error).
   bool ParseAndExecute(Worker* worker, Connection* conn) {
     while (true) {
-      const uint32_t header_bytes = conn->version >= 2
-                                        ? kFrameHeaderBytesV2
-                                        : kFrameHeaderBytes;
       std::vector<FrameRef> batch;
-      Status fatal;  // malformed header: poisons the stream
+      Status fatal;  // bad length or CRC: poisons the stream
       size_t pos = conn->in_pos;
-      while (conn->in.size() - pos >= header_bytes) {
-        const uint8_t* header = conn->in.data() + pos;
-        auto len_result =
-            DecodeFrameHeader(header, options_.max_frame_bytes);
-        if (!len_result.ok()) {
-          fatal = len_result.status();
-          break;
-        }
-        const uint32_t len = *len_result;
-        if (conn->in.size() - pos < header_bytes + len) break;
-        FrameRef ref;
-        ref.header_off = pos;
-        ref.len = len;
+      while (true) {
         // Frame-read-complete: request latency is measured from here,
-        // so the CRC check and opcode decode land in the parse stage.
+        // taken before the decode so the CRC check and opcode decode
+        // land in the parse stage.
+        FrameRef ref;
         ref.ticks = obs::FastClock::NowTicks();
-        if (conn->version >= 2) {
-          ref.tag = TaggedFrameTag(header);
-          ref.hoist = IsHoistableRead(header + header_bytes, len);
-        }
+        fatal = NextFrame(conn->version, conn->in.data() + pos,
+                          conn->in.size() - pos, &ref.frame);
+        if (!fatal.ok() || ref.frame.consumed == 0) break;
+        ref.hoist = conn->version >= 2 &&
+                    IsHoistableRead(ref.frame.payload, ref.frame.len);
         batch.push_back(ref);
-        pos += header_bytes + len;
+        pos += ref.frame.consumed;
         // Before the handshake the framing of everything past the first
         // frame is unknown (hello may negotiate v2): execute one frame,
         // then rescan under the negotiated version.
@@ -759,74 +744,48 @@ class ServerImpl {
       size_t queued = batch.size();
       queue_gauge_.Add(static_cast<int64_t>(queued));
       // Two passes on v2 (hoisted reads, then the FIFO remainder); the
-      // single pass over a v1 batch is the degenerate second pass.
+      // single pass over a v1 batch is the degenerate second pass. A
+      // corrupt frame ended the scan, so everything before it runs and
+      // answers first (DESIGN.md §17.2).
       for (const int pass : {0, 1}) {
         for (const FrameRef& ref : batch) {
           if (ref.hoist != (pass == 0)) continue;
-          const uint8_t* payload =
-              conn->in.data() + ref.header_off + header_bytes;
-          Status crc_status =
-              conn->version >= 2
-                  ? CheckTaggedFrameCrc(conn->in.data() + ref.header_off,
-                                        payload, ref.len)
-                  : CheckFrameCrc(conn->in.data() + ref.header_off,
-                                  payload, ref.len);
-          if (!crc_status.ok()) {
-            queue_gauge_.Add(-static_cast<int64_t>(queued));
-            ProtocolError(worker, conn, static_cast<Opcode>(0),
-                          crc_status.message(), ref.tag);
-            return false;
-          }
           --queued;
           queue_gauge_.Add(-1);
-          if (!ExecuteFrame(worker, conn, payload, ref.len, ref.ticks,
-                            ref.tag)) {
+          if (!ExecuteFrame(worker, conn, ref.frame, ref.ticks)) {
             queue_gauge_.Add(-static_cast<int64_t>(queued));
             return false;
           }
         }
       }
       if (!fatal.ok()) {
-        ProtocolError(worker, conn, static_cast<Opcode>(0),
-                      fatal.message(), 0);
+        ProtocolError(worker, conn, MakeFrameErrorPayload(fatal));
         return false;
       }
     }
   }
 
-  /// A malformed frame: count it, send a ProtocolError frame, close the
-  /// connection after the flush (a byte stream past a bad frame cannot
-  /// be resynchronised).
-  void ProtocolError(Worker* worker, Connection* conn, Opcode op,
-                     const std::string& message, uint32_t tag = 0) {
+  /// A malformed frame or handshake: count it, queue the kProtocolError
+  /// `response`, and close the connection after the flush (a byte stream
+  /// past a bad frame cannot be resynchronised).
+  void ProtocolError(Worker* worker, Connection* conn,
+                     std::vector<uint8_t>&& response, uint32_t tag = 0) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     protocol_error_counter_.Inc();
-    AppendResponse(conn,
-                   MakeErrorPayload(op, WireCode::kProtocolError, message),
-                   tag);
+    AppendResponse(conn, std::move(response), tag);
     conn->close_after_flush = true;
     FlushOut(worker, conn);
   }
 
-  /// Frames `payload` (v1 or tagged v2, per the connection's negotiated
-  /// version) straight into the out chain — the payload moves, it is
-  /// never copied into a contiguous buffer.
+  /// Frames `payload` under the connection's negotiated version straight
+  /// into the out chain — the payload moves, it is never copied into a
+  /// contiguous buffer.
   void AppendResponse(Connection* conn, std::vector<uint8_t>&& payload,
                       uint32_t tag = 0) {
     OutBuf buf;
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    std::memcpy(buf.header, &len, sizeof(len));
-    uint32_t crc;
-    if (conn->version >= 2) {
-      crc = MaskCrc(
-          Crc32c(payload.data(), payload.size(), Crc32c(&tag, sizeof(tag))));
-      std::memcpy(buf.header + 8, &tag, sizeof(tag));
-      buf.header_len = kFrameHeaderBytesV2;
-    } else {
-      crc = MaskCrc(Crc32c(payload.data(), payload.size()));
-      buf.header_len = kFrameHeaderBytes;
-    }
-    std::memcpy(buf.header + 4, &crc, sizeof(crc));
+    buf.header_len =
+        EncodeFrameHeader(conn->version, tag, payload.data(),
+                          static_cast<uint32_t>(payload.size()), buf.header);
     buf.payload = std::move(payload);
     conn->bytes_queued += buf.size();
     conn->out_chain.push_back(std::move(buf));
@@ -845,33 +804,27 @@ class ServerImpl {
   }
 
   /// Returns false when the connection was closed.
-  bool ExecuteFrame(Worker* worker, Connection* conn,
-                    const uint8_t* payload, uint32_t len,
-                    uint64_t start_ticks, uint32_t tag = 0) {
+  bool ExecuteFrame(Worker* worker, Connection* conn, const FrameView& frame,
+                    uint64_t start_ticks) {
     using obs::FastClock;
     using obs::RequestStage;
-    WireReader reader(payload, len);
+    const uint32_t tag = frame.tag;
+    WireReader reader(frame.payload, frame.len);
     const uint8_t raw_op = reader.U8();
-    if (!IsKnownOpcode(raw_op)) {
-      // The frame boundary is intact, so the stream is still in sync:
-      // answer cleanly and keep the connection.
+    std::vector<uint8_t> refusal;
+    const Refusal verdict = RefuseRequest(raw_op, conn->handshaken, &refusal);
+    if (verdict == Refusal::kAnswer) {  // an unknown opcode
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       protocol_error_counter_.Inc();
-      AppendResponse(conn,
-                     MakeErrorPayload(
-                         static_cast<Opcode>(raw_op),
-                         WireCode::kNotSupported,
-                         "unknown opcode " + std::to_string(raw_op)),
-                     tag);
+      AppendResponse(conn, std::move(refusal), tag);
       return true;
     }
     const Opcode op = static_cast<Opcode>(raw_op);
     op_counters_[raw_op]->Inc();
     requests_.fetch_add(1, std::memory_order_relaxed);
     requests_counter_.Inc();
-
-    if (!conn->handshaken && op != Opcode::kHello) {
-      ProtocolError(worker, conn, op, "first frame must be hello", tag);
+    if (verdict == Refusal::kClose) {
+      ProtocolError(worker, conn, std::move(refusal), tag);
       return false;
     }
 
@@ -1014,12 +967,14 @@ class ServerImpl {
   bool HandleHello(Worker* worker, Connection* conn, WireReader& reader) {
     auto hello = ParseHello(reader);
     if (!hello.ok()) {
-      ProtocolError(worker, conn, Opcode::kHello, hello.status().message());
+      ProtocolError(worker, conn,
+                    MakeErrorPayload(Opcode::kHello, WireCode::kProtocolError,
+                                     hello.status().message()));
       return false;
     }
     // No common version is a clean cross-version failure: the client
     // learns both supported ranges instead of a dropped connection.
-    auto reply = Negotiate(*hello, options_.max_pipeline_window);
+    auto reply = Negotiate(*hello);
     if (!reply.ok() || draining()) {
       AppendResponse(conn, reply.ok()
                                ? MakeErrorPayload(Opcode::kHello,
@@ -1083,15 +1038,14 @@ class ServerImpl {
     }
   }
 
-  /// Load shedding during degraded serving: engine-touching requests
-  /// beyond the (tighter) warming inflight cap get a retryable kWarming
-  /// rejection so the drain keeps making progress under client load.
+  /// Load shedding during degraded serving: on-demand restores contend
+  /// with the drain for the table locks, so engine-touching requests
+  /// beyond an eighth of max_inflight get a retryable kWarming rejection
+  /// and the drain keeps making progress under client load.
   bool ShedWhileWarming(Opcode op, int inflight,
                         std::vector<uint8_t>* response) {
     if (ExemptFromWarmingShed(op) || !serving_degraded()) return false;
-    const int cap = options_.degraded_max_inflight > 0
-                        ? options_.degraded_max_inflight
-                        : std::max(1, options_.max_inflight / 8);
+    const int cap = std::max(1, options_.max_inflight / 8);
     if (inflight < cap) return false;
     warming_rejected_.fetch_add(1, std::memory_order_relaxed);
     warming_counter_.Inc();

@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "core/database.h"
-#include "net/wire.h"
 
 namespace hyrise_nv::net {
 
@@ -31,18 +30,6 @@ struct ServerOptions {
   /// Connections idle (no complete request) longer than this are closed;
   /// an open transaction on such a session is aborted. 0 disables.
   int idle_timeout_ms = 60'000;
-  /// Payload cap enforced on receive, before the body is read.
-  uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Cap on the per-connection pipeline window granted at a v2
-  /// handshake (requests outstanding per connection before the excess
-  /// is shed with the retryable kOverloaded code).
-  uint32_t max_pipeline_window = kMaxPipelineWindow;
-  /// Tighter inflight cap while the engine serves degraded (recovery
-  /// drain in progress): on-demand restores contend with the drain for
-  /// the table locks, so the warming server sheds load early with the
-  /// retryable kWarming code instead of queueing. 0 derives the cap as
-  /// max(1, max_inflight / 8).
-  int degraded_max_inflight = 0;
   /// Requests whose end-to-end latency (frame-read-complete → response
   /// fully handed to the socket) exceeds this threshold are captured: a
   /// kSlowRequest blackbox event with the dominant stage plus an entry

@@ -194,27 +194,52 @@ DmlOp WireReader::BatchOp() {
   return DmlBody(kind);
 }
 
-std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  WireWriter writer(&frame);
-  writer.U32(static_cast<uint32_t>(payload.size()));
-  writer.U32(MaskCrc(Crc32c(payload.data(), payload.size())));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+uint32_t EncodeFrameHeader(uint16_t version, uint32_t tag,
+                           const uint8_t* payload, uint32_t len,
+                           uint8_t* header) {
+  const uint32_t seed = version >= 2 ? Crc32c(&tag, sizeof(tag)) : 0;
+  const uint32_t crc = MaskCrc(Crc32c(payload, len, seed));
+  std::memcpy(header, &len, sizeof(len));
+  std::memcpy(header + 4, &crc, sizeof(crc));
+  if (version >= 2) std::memcpy(header + 8, &tag, sizeof(tag));
+  return FrameHeaderBytes(version);
+}
+
+std::vector<uint8_t> EncodeFrame(uint16_t version, uint32_t tag,
+                                 const std::vector<uint8_t>& payload) {
+  const auto len = static_cast<uint32_t>(payload.size());
+  std::vector<uint8_t> frame(FrameHeaderBytes(version) + payload.size());
+  EncodeFrameHeader(version, tag, payload.data(), len, frame.data());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + FrameHeaderBytes(version));
   return frame;
 }
 
-std::vector<uint8_t> EncodeTaggedFrame(uint32_t tag,
-                                       const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytesV2 + payload.size());
-  WireWriter writer(&frame);
-  writer.U32(static_cast<uint32_t>(payload.size()));
-  const uint32_t tag_crc = Crc32c(&tag, sizeof(tag));
-  writer.U32(MaskCrc(Crc32c(payload.data(), payload.size(), tag_crc)));
-  writer.U32(tag);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+Result<uint32_t> DecodeFrameHeader(const uint8_t header[kFrameHeaderBytes]) {
+  uint32_t len;
+  std::memcpy(&len, header, sizeof(len));
+  if (len > kMaxFrameBytes) {
+    return Status::InvalidArgument(
+        "frame announces " + std::to_string(len) + " bytes (cap " +
+        std::to_string(kMaxFrameBytes) + ")");
+  }
+  if (len == 0) {
+    return Status::InvalidArgument("empty frame (no opcode)");
+  }
+  return len;
+}
+
+Status CheckFrameCrc(uint16_t version, const uint8_t* header,
+                     const uint8_t* payload, uint32_t len) {
+  uint32_t masked;
+  std::memcpy(&masked, header + 4, sizeof(masked));
+  const uint32_t seed =
+      version >= 2 ? Crc32c(header + 8, sizeof(uint32_t)) : 0;
+  if (UnmaskCrc(masked) != Crc32c(payload, len, seed)) {
+    return Status::Corruption(version >= 2 ? "tagged frame CRC mismatch"
+                                           : "frame CRC mismatch");
+  }
+  return Status::OK();
 }
 
 uint32_t TaggedFrameTag(const uint8_t header[kFrameHeaderBytesV2]) {
@@ -223,43 +248,20 @@ uint32_t TaggedFrameTag(const uint8_t header[kFrameHeaderBytesV2]) {
   return tag;
 }
 
-Status CheckTaggedFrameCrc(const uint8_t header[kFrameHeaderBytesV2],
-                           const uint8_t* payload, uint32_t len) {
-  uint32_t masked;
-  std::memcpy(&masked, header + 4, sizeof(masked));
-  const uint32_t expected = UnmaskCrc(masked);
-  const uint32_t tag_crc = Crc32c(header + 8, sizeof(uint32_t));
-  const uint32_t actual = Crc32c(payload, len, tag_crc);
-  if (expected != actual) {
-    return Status::Corruption("tagged frame CRC mismatch");
-  }
-  return Status::OK();
-}
-
-Result<uint32_t> DecodeFrameHeader(const uint8_t header[kFrameHeaderBytes],
-                                   uint32_t max_payload) {
-  uint32_t len;
-  std::memcpy(&len, header, sizeof(len));
-  if (len > max_payload) {
-    return Status::InvalidArgument(
-        "frame announces " + std::to_string(len) + " bytes (cap " +
-        std::to_string(max_payload) + ")");
-  }
-  if (len == 0) {
-    return Status::InvalidArgument("empty frame (no opcode)");
-  }
-  return len;
-}
-
-Status CheckFrameCrc(const uint8_t header[kFrameHeaderBytes],
-                     const uint8_t* payload, uint32_t len) {
-  uint32_t masked;
-  std::memcpy(&masked, header + 4, sizeof(masked));
-  const uint32_t expected = UnmaskCrc(masked);
-  const uint32_t actual = Crc32c(payload, len);
-  if (expected != actual) {
-    return Status::Corruption("frame CRC mismatch");
-  }
+Status NextFrame(uint16_t version, const uint8_t* data, size_t size,
+                 FrameView* frame) {
+  *frame = FrameView();
+  const uint32_t header_bytes = FrameHeaderBytes(version);
+  if (size < header_bytes) return Status::OK();
+  auto len = DecodeFrameHeader(data);
+  if (!len.ok()) return len.status();
+  if (size - header_bytes < *len) return Status::OK();
+  const uint8_t* payload = data + header_bytes;
+  HYRISE_NV_RETURN_NOT_OK(CheckFrameCrc(version, data, payload, *len));
+  frame->tag = version >= 2 ? TaggedFrameTag(data) : 0;
+  frame->payload = payload;
+  frame->len = *len;
+  frame->consumed = header_bytes + *len;
   return Status::OK();
 }
 
@@ -283,6 +285,29 @@ std::vector<uint8_t> MakeStatusPayload(Opcode op, const Status& status) {
   writer.U8(static_cast<uint8_t>(op));
   writer.U8(static_cast<uint8_t>(WireCode::kOk));
   return payload;
+}
+
+Refusal RefuseRequest(uint8_t op, bool handshaken,
+                      std::vector<uint8_t>* response) {
+  if (!IsKnownOpcode(op)) {
+    // The frame boundary is intact, so the stream is still in sync.
+    *response = MakeErrorPayload(static_cast<Opcode>(op),
+                                 WireCode::kNotSupported,
+                                 "unknown opcode " + std::to_string(op));
+    return Refusal::kAnswer;
+  }
+  if (!handshaken && op != static_cast<uint8_t>(Opcode::kHello)) {
+    *response = MakeErrorPayload(static_cast<Opcode>(op),
+                                 WireCode::kProtocolError,
+                                 "first frame must be hello");
+    return Refusal::kClose;
+  }
+  return Refusal::kNone;
+}
+
+std::vector<uint8_t> MakeFrameErrorPayload(const Status& decode_error) {
+  return MakeErrorPayload(static_cast<Opcode>(0), WireCode::kProtocolError,
+                          decode_error.message());
 }
 
 std::vector<uint8_t> EncodeHello(const Hello& hello) {
@@ -345,7 +370,7 @@ Result<HelloReply> ParseHelloReply(const uint8_t* data, size_t len,
   return reply;
 }
 
-Result<HelloReply> Negotiate(const Hello& hello, uint32_t window_cap) {
+Result<HelloReply> Negotiate(const Hello& hello) {
   if (hello.min_version > kProtocolVersionMax ||
       hello.max_version < kProtocolVersionMin ||
       hello.min_version > hello.max_version) {
@@ -361,7 +386,7 @@ Result<HelloReply> Negotiate(const Hello& hello, uint32_t window_cap) {
   if (reply.version >= 2) {
     const uint32_t wanted =
         hello.window == 0 ? kDefaultPipelineWindow : hello.window;
-    reply.window = std::clamp(wanted, 1u, std::max(1u, window_cap));
+    reply.window = std::clamp(wanted, 1u, kMaxPipelineWindow);
   }
   return reply;
 }

@@ -44,9 +44,10 @@ namespace hyrise_nv::net {
 /// directions — the framing switches to v2 only after both sides know the
 /// negotiated version. A v2 hello request appends [u32 requested_window]
 /// and a v2 hello response appends [u32 granted_window]; a v1 peer never
-/// sees either field (DESIGN.md §17). Every endpoint encodes and parses
-/// the hello and the DML op body through the codec below (Hello,
-/// HelloReply, Negotiate, DmlBody) instead of writing the bytes itself.
+/// sees either field (DESIGN.md §17). Every endpoint frames its messages
+/// and encodes and parses the hello and the DML op body through the codec
+/// below (EncodeFrameHeader, NextFrame, Hello, HelloReply, Negotiate,
+/// DmlBody) instead of writing the bytes itself.
 
 // --- Protocol constants ---------------------------------------------------
 
@@ -280,32 +281,70 @@ class WireReader {
 };
 
 // --- Framing --------------------------------------------------------------
+//
+// The frame codec: the only code that knows the frame layout (header
+// size, what the CRC covers, the length cap). Every endpoint encodes,
+// scans and reads frames through it with its connection's negotiated
+// version; the hello exchange is always version 1. kMaxFrameBytes is the
+// only frame cap.
 
-/// Wraps `payload` in a v1 frame (length prefix + masked CRC).
-std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload);
+/// Header bytes of a frame under `version`: 8 on v1, 12 on v2.
+constexpr uint32_t FrameHeaderBytes(uint16_t version) {
+  return version >= 2 ? kFrameHeaderBytesV2 : kFrameHeaderBytes;
+}
 
-/// Wraps `payload` in a v2 tagged frame. The CRC covers tag || payload.
-std::vector<uint8_t> EncodeTaggedFrame(uint32_t tag,
-                                       const std::vector<uint8_t>& payload);
+/// Writes the header of a frame carrying `len` payload bytes into
+/// `header` (room for kFrameHeaderBytesV2) and returns its size. The tag
+/// is written, and covered by the CRC, on v2 only.
+uint32_t EncodeFrameHeader(uint16_t version, uint32_t tag,
+                           const uint8_t* payload, uint32_t len,
+                           uint8_t* header);
 
-/// Parses the frame header's length word (shared by v1 and v2 — the
-/// length is the first field of both). Fails with InvalidArgument when
-/// the announced length exceeds `max_payload` (oversized frames are
-/// rejected before any body byte is read).
-Result<uint32_t> DecodeFrameHeader(const uint8_t header[kFrameHeaderBytes],
-                                   uint32_t max_payload = kMaxFrameBytes);
+/// Header and payload as one buffer.
+std::vector<uint8_t> EncodeFrame(uint16_t version, uint32_t tag,
+                                 const std::vector<uint8_t>& payload);
+inline std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload) {
+  return EncodeFrame(1, 0, payload);
+}
+inline std::vector<uint8_t> EncodeTaggedFrame(
+    uint32_t tag, const std::vector<uint8_t>& payload) {
+  return EncodeFrame(2, tag, payload);
+}
 
-/// Verifies the payload against the masked CRC from the frame header.
-Status CheckFrameCrc(const uint8_t header[kFrameHeaderBytes],
+/// Parses the header's length word (the first field under both
+/// versions). A length of 0 or above kMaxFrameBytes fails with
+/// InvalidArgument before any body byte is read.
+Result<uint32_t> DecodeFrameHeader(const uint8_t header[kFrameHeaderBytes]);
+
+/// Verifies the payload against the header's masked CRC, which covers
+/// the payload on v1 and tag || payload on v2, so a flipped tag bit
+/// fails exactly like a flipped payload bit. Fails with Corruption.
+Status CheckFrameCrc(uint16_t version, const uint8_t* header,
                      const uint8_t* payload, uint32_t len);
+inline Status CheckTaggedFrameCrc(const uint8_t header[kFrameHeaderBytesV2],
+                                  const uint8_t* payload, uint32_t len) {
+  return CheckFrameCrc(2, header, payload, len);
+}
 
 /// The tag field of a v2 header.
 uint32_t TaggedFrameTag(const uint8_t header[kFrameHeaderBytesV2]);
 
-/// Verifies a v2 frame: the masked CRC must cover tag || payload, so a
-/// flipped tag bit fails exactly like a flipped payload bit.
-Status CheckTaggedFrameCrc(const uint8_t header[kFrameHeaderBytesV2],
-                           const uint8_t* payload, uint32_t len);
+/// One frame at the front of a receive buffer. `consumed` is 0 while the
+/// frame is incomplete.
+struct FrameView {
+  uint32_t tag = 0;  // 0 on v1
+  const uint8_t* payload = nullptr;
+  uint32_t len = 0;
+  size_t consumed = 0;  // header + payload bytes
+};
+
+/// The incremental decoder: looks at the `size` buffered bytes at `data`.
+/// Returns OK with `frame->consumed == 0` until the frame's last byte is
+/// in, then OK with the frame, its CRC verified. A bad length fails as
+/// soon as the header is in, a bad CRC once the payload is; either way
+/// the stream cannot be resynchronised.
+Status NextFrame(uint16_t version, const uint8_t* data, size_t size,
+                 FrameView* frame);
 
 // --- Message helpers ------------------------------------------------------
 
@@ -315,6 +354,24 @@ Status CheckTaggedFrameCrc(const uint8_t header[kFrameHeaderBytesV2],
 std::vector<uint8_t> MakeErrorPayload(Opcode op, WireCode code,
                                       const std::string& message);
 std::vector<uint8_t> MakeStatusPayload(Opcode op, const Status& status);
+
+/// How the server and the router refuse a request before running it, so
+/// a client gets the same bytes from either (DESIGN.md §10.2).
+enum class Refusal : uint8_t {
+  kNone,    // the request runs
+  kAnswer,  // answer with the request's tag; the session lives
+  kClose,   // answer with the request's tag, then close the connection
+};
+/// An unknown opcode gets kNotSupported "unknown opcode N"; a request
+/// other than hello before the handshake gets kProtocolError "first
+/// frame must be hello". Fills `response` unless the request runs.
+Refusal RefuseRequest(uint8_t op, bool handshaken,
+                      std::vector<uint8_t>* response);
+/// The answer to a frame the decoder rejected (bad length or CRC): a
+/// kProtocolError with the decoder's message. It goes out with tag 0,
+/// since the frame's own tag cannot be trusted, and the connection then
+/// closes.
+std::vector<uint8_t> MakeFrameErrorPayload(const Status& decode_error);
 
 /// One scanned row on the wire: location + materialised values.
 struct WireRow {
@@ -355,10 +412,10 @@ Result<HelloReply> ParseHelloReply(const uint8_t* data, size_t len,
 
 /// The server half of the handshake: picks the highest version both
 /// ranges share and, for v2, grants the requested window (0 = the
-/// default) clamped to [1, window_cap]. The caller fills in the reply's
-/// mode and session id. Disjoint or inverted ranges fail with
+/// default) clamped to [1, kMaxPipelineWindow]. The caller fills in the
+/// reply's mode and session id. Disjoint or inverted ranges fail with
 /// NotSupported naming both.
-Result<HelloReply> Negotiate(const Hello& hello, uint32_t window_cap);
+Result<HelloReply> Negotiate(const Hello& hello);
 
 }  // namespace hyrise_nv::net
 

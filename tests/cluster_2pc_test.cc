@@ -24,9 +24,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
@@ -767,6 +769,122 @@ TEST_F(RouterTest, HelloAnsweredExactlyAsTheShardAnswers) {
     EXPECT_EQ(router_reply, shard_reply)
         << "hello [" << min_version << "," << max_version << "]";
   }
+}
+
+/// What the peer does after answering: "answered" when it still answers
+/// a ping, "closed" when it has hung up, "silent" when neither happens.
+std::string NextPingOutcome(int fd, uint16_t version) {
+  const std::vector<uint8_t> ping = {static_cast<uint8_t>(net::Opcode::kPing)};
+  (void)net::SendFrame(fd, version, 77, ping);
+  auto reply = net::RecvFrame(fd, version, 1000);
+  if (reply.ok()) return "answered";
+  return reply.status().message() == "read timeout" ? "silent" : "closed";
+}
+
+TEST_F(RouterTest, MalformedFramesAnsweredExactlyAsTheShardAnswers) {
+  // The same bytes sent to a shard and to the router must draw the same
+  // reply bytes and leave the session in the same state.
+  StartRouter();
+  const std::vector<uint8_t> ping = {static_cast<uint8_t>(net::Opcode::kPing)};
+  std::vector<uint8_t> bad_crc = net::EncodeFrame(ping);
+  bad_crc[4] ^= 0xFF;
+  std::vector<uint8_t> oversized(net::kFrameHeaderBytes, 0);
+  const uint32_t too_long = net::kMaxFrameBytes + 1;
+  std::memcpy(oversized.data(), &too_long, sizeof(too_long));
+  std::vector<uint8_t> bad_tag = net::EncodeTaggedFrame(42, ping);
+  bad_tag[8] ^= 0x01;
+  struct Case {
+    const char* name;
+    uint16_t version;  // negotiated by the hello sent first; 0 sends none
+    std::vector<uint8_t> bytes;
+    net::WireCode code;
+    const char* outcome;
+  };
+  const Case cases[] = {
+      {"unknown opcode", 1, net::EncodeFrame({0xEE, 1, 2, 3}),
+       net::WireCode::kNotSupported, "answered"},
+      {"ping before hello", 0, net::EncodeFrame(ping),
+       net::WireCode::kProtocolError, "closed"},
+      {"bad v1 CRC", 1, bad_crc, net::WireCode::kProtocolError, "closed"},
+      {"oversized length", 1, oversized, net::WireCode::kProtocolError,
+       "closed"},
+      {"flipped v2 tag bit", 2, bad_tag, net::WireCode::kProtocolError,
+       "closed"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> replies[2];
+    uint32_t tags[2] = {};
+    std::string outcomes[2];
+    const uint16_t ports[2] = {servers_[0]->port(), router_->port()};
+    for (int i = 0; i < 2; ++i) {
+      auto fd = net::ConnectTcp("127.0.0.1", ports[i], 2000);
+      ASSERT_TRUE(fd.ok());
+      if (c.version != 0) {
+        const std::vector<uint8_t> hello_reply =
+            Exchange(fd->get(), net::EncodeHello({1, c.version, 0}));
+        ASSERT_GE(hello_reply.size(), 2u);
+        ASSERT_EQ(hello_reply[1], static_cast<uint8_t>(net::WireCode::kOk));
+      }
+      ASSERT_TRUE(
+          net::SendAll(fd->get(), c.bytes.data(), c.bytes.size()).ok());
+      const uint16_t version = std::max<uint16_t>(c.version, 1);
+      auto reply = net::RecvFrame(fd->get(), version, 2000, &tags[i]);
+      ASSERT_TRUE(reply.ok()) << (i == 0 ? "shard: " : "router: ")
+                              << reply.status().ToString();
+      replies[i] = *reply;
+      outcomes[i] = NextPingOutcome(fd->get(), version);
+    }
+    ASSERT_GE(replies[0].size(), 2u);
+    EXPECT_EQ(replies[0][1], static_cast<uint8_t>(c.code));
+    EXPECT_EQ(outcomes[0], c.outcome);
+    EXPECT_EQ(replies[1], replies[0]);
+    EXPECT_EQ(tags[1], tags[0]);
+    EXPECT_EQ(outcomes[1], outcomes[0]);
+  }
+}
+
+TEST_F(RouterTest, RefusedHelloIsFollowedByEof) {
+  // A shard closes the connection right after refusing a hello; so must
+  // the router, or the client waits out its read timeout.
+  StartRouter();
+  for (const uint16_t port : {servers_[0]->port(), router_->port()}) {
+    auto fd = net::ConnectTcp("127.0.0.1", port, 2000);
+    ASSERT_TRUE(fd.ok());
+    const std::vector<uint8_t> reply =
+        Exchange(fd->get(), net::EncodeHello({3, 9, 0}));
+    ASSERT_GE(reply.size(), 2u);
+    EXPECT_EQ(reply[1], static_cast<uint8_t>(net::WireCode::kNotSupported));
+    uint8_t byte;
+    EXPECT_EQ(net::RecvAll(fd->get(), &byte, 1, 1000).message(),
+              "connection closed by peer")
+        << (port == router_->port() ? "router" : "shard");
+  }
+}
+
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST_F(RouterTest, EndedSessionsAreFreed) {
+  // Every ended session's socket and thread must go, not wait for Stop.
+  StartRouter();
+  const auto connect_and_ping = [this] {
+    net::Client client(RouterClientOptions());
+    ASSERT_TRUE(client.Connect().ok());
+    ASSERT_TRUE(client.Ping().ok());
+  };
+  connect_and_ping();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 200; ++i) connect_and_ping();
+  EXPECT_TRUE(WaitFor([&] { return OpenFdCount() <= before + 8; }, 1000))
+      << OpenFdCount() << " fds open, " << before << " before the cycles";
 }
 
 // ---------------------------------------------------------------------------

@@ -209,14 +209,16 @@ TEST_F(PipelineTest, AdHocReadCompletesAheadOfQueuedDml) {
   wire.insert(wire.end(), read_frame.begin(), read_frame.end());
   ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()).ok());
 
-  auto first = ReadTaggedFrame(fd, 5000);
-  auto second = ReadTaggedFrame(fd, 5000);
+  uint32_t first_tag = 0;
+  uint32_t second_tag = 0;
+  auto first = RecvFrame(fd, 2, 5000, &first_tag);
+  auto second = RecvFrame(fd, 2, 5000, &second_tag);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(first->tag, 2u) << "ad-hoc read was not hoisted";
-  EXPECT_EQ(second->tag, 1u);
-  EXPECT_EQ(first->payload[1], static_cast<uint8_t>(WireCode::kOk));
-  EXPECT_EQ(second->payload[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ(first_tag, 2u) << "ad-hoc read was not hoisted";
+  EXPECT_EQ(second_tag, 1u);
+  EXPECT_EQ((*first)[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ((*second)[1], static_cast<uint8_t>(WireCode::kOk));
 }
 
 TEST_F(PipelineTest, UnknownResponseTagClosesPipeline) {
@@ -248,14 +250,14 @@ TEST_F(PipelineTest, UnknownResponseTagClosesPipeline) {
     writer.U64(99);
     writer.U32(4);
     ASSERT_TRUE(WriteFrame(conn.get(), resp).ok());
-    auto request = ReadTaggedFrame(conn.get(), 2000);
+    uint32_t tag = 0;
+    auto request = RecvFrame(conn.get(), 2, 2000, &tag);
     ASSERT_TRUE(request.ok());
     std::vector<uint8_t> pong;
     WireWriter pong_writer(&pong);
     pong_writer.U8(static_cast<uint8_t>(Opcode::kPing));
     pong_writer.U8(static_cast<uint8_t>(WireCode::kOk));
-    ASSERT_TRUE(
-        WriteTaggedFrame(conn.get(), request->tag + 1, pong).ok());
+    ASSERT_TRUE(SendFrame(conn.get(), 2, tag + 1, pong).ok());
   });
 
   PipelineClientOptions options;

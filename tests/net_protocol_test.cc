@@ -12,8 +12,10 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <thread>
 
+#include "common/crc32.h"
 #include "core/database.h"
 #include "net/client.h"
 #include "net/net_util.h"
@@ -327,13 +329,13 @@ TEST(WireFormatTest, FrameRoundtripAndCrc) {
   auto len_result = DecodeFrameHeader(frame.data());
   ASSERT_TRUE(len_result.ok());
   EXPECT_EQ(*len_result, payload.size());
-  EXPECT_TRUE(CheckFrameCrc(frame.data(), frame.data() + kFrameHeaderBytes,
-                            *len_result)
+  EXPECT_TRUE(CheckFrameCrc(1, frame.data(),
+                            frame.data() + kFrameHeaderBytes, *len_result)
                   .ok());
   // Flip one payload bit: CRC must catch it.
   frame[kFrameHeaderBytes + 2] ^= 0x40;
-  EXPECT_TRUE(CheckFrameCrc(frame.data(), frame.data() + kFrameHeaderBytes,
-                            *len_result)
+  EXPECT_TRUE(CheckFrameCrc(1, frame.data(),
+                            frame.data() + kFrameHeaderBytes, *len_result)
                   .IsCorruption());
 }
 
@@ -348,7 +350,6 @@ TEST(WireFormatTest, OversizedAndEmptyFramesRejected) {
   len = 16;
   std::memcpy(header, &len, sizeof(len));
   EXPECT_TRUE(DecodeFrameHeader(header).ok());
-  EXPECT_FALSE(DecodeFrameHeader(header, 8).ok());  // per-server cap
 }
 
 TEST(WireFormatTest, TaggedFrameRoundtripAndCrc) {
@@ -371,6 +372,174 @@ TEST(WireFormatTest, TaggedFrameRoundtripAndCrc) {
   frame[8] ^= 0x01;
   EXPECT_TRUE(
       CheckTaggedFrameCrc(frame.data(), body, *len_result).IsCorruption());
+}
+
+/// Decodes the first `size` bytes of `stream` as a receiver would: frame
+/// after frame until the decoder wants more bytes or fails. Returns the
+/// frames read; `status` gets the decoder's verdict on the next one.
+std::vector<FrameView> ScanFrames(uint16_t version,
+                                  const std::vector<uint8_t>& stream,
+                                  size_t size, Status* status) {
+  std::vector<FrameView> frames;
+  size_t pos = 0;
+  FrameView frame;
+  while ((*status = NextFrame(version, stream.data() + pos, size - pos,
+                              &frame))
+             .ok() &&
+         frame.consumed > 0) {
+    frames.push_back(frame);
+    pos += frame.consumed;
+  }
+  return frames;
+}
+
+TEST(WireFormatTest, DecoderWaitsForEachFramesLastByte) {
+  // Opcode-only payloads, a small body, and one payload larger than the
+  // server's 16 KiB recv chunk, fed with every prefix of the stream.
+  const std::vector<std::vector<uint8_t>> payloads = {
+      {static_cast<uint8_t>(Opcode::kPing)},
+      {static_cast<uint8_t>(Opcode::kCount), 1, 2, 3},
+      std::vector<uint8_t>(20'000, 0x5A),
+      {static_cast<uint8_t>(Opcode::kPing)}};
+  for (const uint16_t version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    std::vector<uint8_t> stream;
+    std::vector<size_t> ends;  // one past each frame's last byte
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      const std::vector<uint8_t> frame =
+          EncodeFrame(version, static_cast<uint32_t>(100 + i), payloads[i]);
+      stream.insert(stream.end(), frame.begin(), frame.end());
+      ends.push_back(stream.size());
+    }
+    size_t pos = 0;   // where the next frame starts
+    size_t next = 0;  // index of the next frame
+    for (size_t available = 0; available <= stream.size(); ++available) {
+      FrameView frame;
+      ASSERT_TRUE(NextFrame(version, stream.data() + pos, available - pos,
+                            &frame)
+                      .ok())
+          << available << " bytes";
+      if (available < ends[next]) {
+        ASSERT_EQ(frame.consumed, 0u) << available << " bytes";
+        continue;
+      }
+      ASSERT_EQ(frame.consumed, ends[next] - pos);
+      EXPECT_EQ(frame.tag, version >= 2 ? 100 + next : 0u);
+      EXPECT_EQ(std::vector<uint8_t>(frame.payload, frame.payload + frame.len),
+                payloads[next]);
+      pos = ends[next];
+      if (++next == payloads.size()) break;
+    }
+    EXPECT_EQ(next, payloads.size());
+  }
+}
+
+TEST(WireFormatTest, DecoderReportsEachErrorAtItsFrame) {
+  // Two good frames, a bad one, a good one. The error must surface once
+  // the bad frame is reached (its header for a bad length, its last byte
+  // for a bad CRC) and never for the frames before it.
+  const std::vector<uint8_t> ping = {static_cast<uint8_t>(Opcode::kPing)};
+  struct Case {
+    const char* name;
+    uint16_t version;
+    std::optional<uint32_t> length;  // rewrites the bad frame's length
+    size_t flip;  // byte of the bad frame to flip, 0 for none
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"length 0 (v1)", 1, 0u, 0, StatusCode::kInvalidArgument},
+      {"length 0 (v2)", 2, 0u, 0, StatusCode::kInvalidArgument},
+      {"length cap + 1 (v1)", 1, kMaxFrameBytes + 1, 0,
+       StatusCode::kInvalidArgument},
+      {"length cap + 1 (v2)", 2, kMaxFrameBytes + 1, 0,
+       StatusCode::kInvalidArgument},
+      {"payload bit (v1)", 1, std::nullopt, kFrameHeaderBytes,
+       StatusCode::kCorruption},
+      {"payload bit (v2)", 2, std::nullopt, kFrameHeaderBytesV2,
+       StatusCode::kCorruption},
+      {"tag bit (v2)", 2, std::nullopt, 8, StatusCode::kCorruption},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> stream;
+    for (uint32_t tag = 1; tag <= 2; ++tag) {
+      const std::vector<uint8_t> good = EncodeFrame(c.version, tag, ping);
+      stream.insert(stream.end(), good.begin(), good.end());
+    }
+    const size_t bad_start = stream.size();
+    std::vector<uint8_t> bad = EncodeFrame(c.version, 3, ping);
+    size_t error_at = bad_start + bad.size();
+    if (c.length) {
+      std::memcpy(bad.data(), &*c.length, sizeof(*c.length));
+      bad.resize(FrameHeaderBytes(c.version));  // no body follows
+      error_at = bad_start + bad.size();
+    }
+    if (c.flip != 0) bad[c.flip] ^= 0x01;
+    stream.insert(stream.end(), bad.begin(), bad.end());
+    const std::vector<uint8_t> after = EncodeFrame(c.version, 4, ping);
+    stream.insert(stream.end(), after.begin(), after.end());
+
+    for (size_t available = 0; available <= stream.size(); ++available) {
+      Status status;
+      const std::vector<FrameView> frames =
+          ScanFrames(c.version, stream, available, &status);
+      if (available < error_at) {
+        EXPECT_TRUE(status.ok()) << available << " bytes: "
+                                 << status.ToString();
+        EXPECT_LE(frames.size(), 2u);
+      } else {
+        EXPECT_EQ(status.code(), c.code) << available << " bytes";
+        EXPECT_EQ(frames.size(), 2u);
+      }
+    }
+  }
+}
+
+TEST(WireFormatTest, FrameHeaderWritesTheHandWrittenBytes) {
+  // The header encoder plus the payload must equal the frames written out
+  // by hand: v1 [u32 len][u32 masked CRC32C(payload)], v2 [u32 len]
+  // [u32 masked CRC32C(tag || payload)][u32 tag]. The server sends its
+  // response header exactly as encoded here.
+  std::vector<uint8_t> payload;
+  WireWriter payload_writer(&payload);
+  payload_writer.U8(static_cast<uint8_t>(Opcode::kCount));
+  payload_writer.U8(static_cast<uint8_t>(WireCode::kOk));
+  payload_writer.U64(12345);
+  const auto len = static_cast<uint32_t>(payload.size());
+  const uint32_t tag = 0xABCD1234u;
+
+  std::vector<uint8_t> v1;
+  WireWriter v1_writer(&v1);
+  v1_writer.U32(len);
+  v1_writer.U32(MaskCrc(Crc32c(payload.data(), payload.size())));
+  v1.insert(v1.end(), payload.begin(), payload.end());
+
+  std::vector<uint8_t> tagged;
+  WireWriter tagged_writer(&tagged);
+  tagged_writer.U32(tag);
+  tagged.insert(tagged.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> v2;
+  WireWriter v2_writer(&v2);
+  v2_writer.U32(len);
+  v2_writer.U32(MaskCrc(Crc32c(tagged.data(), tagged.size())));
+  v2_writer.U32(tag);
+  v2.insert(v2.end(), payload.begin(), payload.end());
+
+  for (const auto& [version, expected] :
+       {std::pair<uint16_t, const std::vector<uint8_t>&>{1, v1},
+        std::pair<uint16_t, const std::vector<uint8_t>&>{2, v2}}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    uint8_t header[kFrameHeaderBytesV2];
+    const uint32_t header_len =
+        EncodeFrameHeader(version, tag, payload.data(), len, header);
+    EXPECT_EQ(header_len, FrameHeaderBytes(version));
+    std::vector<uint8_t> encoded(header, header + header_len);
+    encoded.insert(encoded.end(), payload.begin(), payload.end());
+    EXPECT_EQ(encoded, expected);
+    EXPECT_EQ(EncodeFrame(version, tag, payload), expected);
+  }
+  EXPECT_EQ(EncodeFrame(payload), v1);
+  EXPECT_EQ(EncodeTaggedFrame(tag, payload), v2);
 }
 
 TEST(WireFormatTest, StatusMappingIsByteStable) {
@@ -674,11 +843,12 @@ TEST_F(CorruptionMatrixTest, V2TaggedPingEchoesTag) {
   ASSERT_GT(HandshakeV2(fd_result->get()), 0u);
   const std::vector<uint8_t> frame = TaggedPing(0xDEAD0001u);
   ASSERT_TRUE(SendAll(fd_result->get(), frame.data(), frame.size()).ok());
-  auto resp = ReadTaggedFrame(fd_result->get(), 2000);
+  uint32_t tag = 0;
+  auto resp = RecvFrame(fd_result->get(), 2, 2000, &tag);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp->tag, 0xDEAD0001u);
-  ASSERT_GE(resp->payload.size(), 2u);
-  EXPECT_EQ(resp->payload[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ(tag, 0xDEAD0001u);
+  ASSERT_GE(resp->size(), 2u);
+  EXPECT_EQ((*resp)[1], static_cast<uint8_t>(WireCode::kOk));
 }
 
 TEST_F(CorruptionMatrixTest, CorruptedTagIsCaughtByCrc) {
@@ -691,15 +861,43 @@ TEST_F(CorruptionMatrixTest, CorruptedTagIsCaughtByCrc) {
   std::vector<uint8_t> frame = TaggedPing(42);
   frame[8] ^= 0x01;  // flip a tag bit, CRC now stale
   ASSERT_TRUE(SendAll(fd_result->get(), frame.data(), frame.size()).ok());
-  auto resp = ReadTaggedFrame(fd_result->get(), 2000);
+  auto resp = RecvFrame(fd_result->get(), 2, 2000);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  ASSERT_GE(resp->payload.size(), 2u);
-  EXPECT_EQ(resp->payload[1],
-            static_cast<uint8_t>(WireCode::kProtocolError));
+  ASSERT_GE(resp->size(), 2u);
+  EXPECT_EQ((*resp)[1], static_cast<uint8_t>(WireCode::kProtocolError));
   // The stream cannot be resynchronised: connection closes.
   uint8_t byte;
   EXPECT_FALSE(RecvAll(fd_result->get(), &byte, 1, 2000).ok());
   ExpectServerAlive();
+}
+
+TEST_F(CorruptionMatrixTest, CorruptFrameEndsItsBatch) {
+  // One write: a ping, a ping with a flipped payload bit, a ping. The
+  // frame before the corrupt one is answered, then the protocol error
+  // with tag 0, then EOF: nothing behind the corrupt frame runs, not
+  // even a hoistable read (DESIGN.md §17.2).
+  auto fd_result = Dial();
+  ASSERT_TRUE(fd_result.ok());
+  ASSERT_GT(HandshakeV2(fd_result->get()), 0u);
+  std::vector<uint8_t> wire = TaggedPing(1);
+  std::vector<uint8_t> corrupt = TaggedPing(2);
+  corrupt.back() ^= 0x01;  // the opcode byte; the CRC is now stale
+  const std::vector<uint8_t> behind = TaggedPing(3);
+  wire.insert(wire.end(), corrupt.begin(), corrupt.end());
+  wire.insert(wire.end(), behind.begin(), behind.end());
+  ASSERT_TRUE(SendAll(fd_result->get(), wire.data(), wire.size()).ok());
+  uint32_t tag = 99;
+  auto first = RecvFrame(fd_result->get(), 2, 2000, &tag);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(tag, 1u);
+  EXPECT_EQ((*first)[1], static_cast<uint8_t>(WireCode::kOk));
+  auto error = RecvFrame(fd_result->get(), 2, 2000, &tag);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(tag, 0u);
+  EXPECT_EQ((*error)[1], static_cast<uint8_t>(WireCode::kProtocolError));
+  uint8_t byte;
+  EXPECT_EQ(RecvAll(fd_result->get(), &byte, 1, 2000).message(),
+            "connection closed by peer");
 }
 
 TEST_F(CorruptionMatrixTest, DuplicateTagRejectedConnectionSurvives) {
@@ -713,21 +911,22 @@ TEST_F(CorruptionMatrixTest, DuplicateTagRejectedConnectionSurvives) {
   const std::vector<uint8_t> dup = TaggedPing(7);
   both.insert(both.end(), dup.begin(), dup.end());
   ASSERT_TRUE(SendAll(fd_result->get(), both.data(), both.size()).ok());
-  auto first = ReadTaggedFrame(fd_result->get(), 2000);
-  auto second = ReadTaggedFrame(fd_result->get(), 2000);
+  uint32_t first_tag = 0;
+  uint32_t second_tag = 0;
+  auto first = RecvFrame(fd_result->get(), 2, 2000, &first_tag);
+  auto second = RecvFrame(fd_result->get(), 2, 2000, &second_tag);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(first->tag, 7u);
-  EXPECT_EQ(second->tag, 7u);
-  EXPECT_EQ(first->payload[1], static_cast<uint8_t>(WireCode::kOk));
-  EXPECT_EQ(second->payload[1],
-            static_cast<uint8_t>(WireCode::kInvalidArgument));
+  EXPECT_EQ(first_tag, 7u);
+  EXPECT_EQ(second_tag, 7u);
+  EXPECT_EQ((*first)[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ((*second)[1], static_cast<uint8_t>(WireCode::kInvalidArgument));
   // The frame boundary stayed intact, so the connection survives.
   const std::vector<uint8_t> again = TaggedPing(8);
   ASSERT_TRUE(SendAll(fd_result->get(), again.data(), again.size()).ok());
-  auto third = ReadTaggedFrame(fd_result->get(), 2000);
+  auto third = RecvFrame(fd_result->get(), 2, 2000);
   ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->payload[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ((*third)[1], static_cast<uint8_t>(WireCode::kOk));
 }
 
 TEST_F(CorruptionMatrixTest, WindowOverflowShedsRetryably) {
@@ -741,21 +940,19 @@ TEST_F(CorruptionMatrixTest, WindowOverflowShedsRetryably) {
   const std::vector<uint8_t> extra = TaggedPing(2);
   both.insert(both.end(), extra.begin(), extra.end());
   ASSERT_TRUE(SendAll(fd_result->get(), both.data(), both.size()).ok());
-  auto first = ReadTaggedFrame(fd_result->get(), 2000);
-  auto second = ReadTaggedFrame(fd_result->get(), 2000);
+  auto first = RecvFrame(fd_result->get(), 2, 2000);
+  auto second = RecvFrame(fd_result->get(), 2, 2000);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(first->payload[1], static_cast<uint8_t>(WireCode::kOk));
-  EXPECT_EQ(second->payload[1],
-            static_cast<uint8_t>(WireCode::kOverloaded));
-  EXPECT_TRUE(IsRetryableWireCode(
-      static_cast<WireCode>(second->payload[1])));
+  EXPECT_EQ((*first)[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ((*second)[1], static_cast<uint8_t>(WireCode::kOverloaded));
+  EXPECT_TRUE(IsRetryableWireCode(static_cast<WireCode>((*second)[1])));
   // The connection keeps serving once the window has room again.
   const std::vector<uint8_t> again = TaggedPing(3);
   ASSERT_TRUE(SendAll(fd_result->get(), again.data(), again.size()).ok());
-  auto third = ReadTaggedFrame(fd_result->get(), 2000);
+  auto third = RecvFrame(fd_result->get(), 2, 2000);
   ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->payload[1], static_cast<uint8_t>(WireCode::kOk));
+  EXPECT_EQ((*third)[1], static_cast<uint8_t>(WireCode::kOk));
 }
 
 TEST_F(CorruptionMatrixTest, GarbageByteStormNeverCrashes) {
