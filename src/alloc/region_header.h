@@ -37,7 +37,9 @@ struct RegionHeader {
   // v3: delta dictionaries carry a persistent value→id table
   // (PDeltaColumnMeta::dict_table) and delta hash-index entries shrink
   // to 16 bytes.
-  static constexpr uint32_t kFormatVersion = 3;
+  // v4: the delta hash index chains rows by dictionary value id
+  // (PIndexSlot heads and links) instead of hash buckets (PIndexMeta).
+  static constexpr uint32_t kFormatVersion = 4;
 
   uint64_t magic;
   uint32_t format_version;

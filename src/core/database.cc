@@ -402,6 +402,8 @@ Status Database::AttachAllIndexSets() {
   for (const auto& table : catalog_->tables()) {
     auto set = std::make_unique<index::IndexSet>(table.get());
     HYRISE_NV_RETURN_NOT_OK(set->Attach());
+    // A salvage open must leave the image untouched.
+    if (!read_only_) HYRISE_NV_RETURN_NOT_OK(set->Repair());
     index_sets_[table.get()] = std::move(set);
   }
   return Status::OK();
@@ -534,6 +536,8 @@ Status Database::CreateIndex(const std::string& table_name, size_t column,
   if (!table_result.ok()) return table_result.status();
   index::IndexSet* set = indexes(*table_result);
   HYRISE_NV_CHECK(set != nullptr, "table without index set");
+  // The build reads every delta row: no insert may land beside it.
+  std::lock_guard<std::mutex> write_guard((*table_result)->write_mutex());
   HYRISE_NV_RETURN_NOT_OK(set->CreateIndexOfKind(column, kind));
   // Build the main side too if a main partition already exists.
   if ((*table_result)->main_row_count() > 0) {

@@ -22,11 +22,18 @@ class IndexSet {
   explicit IndexSet(storage::Table* table) : table_(table) {}
 
   /// Binds handles to every active index slot of the current group.
+  /// Read-only, so salvage opens can use it.
   Status Attach();
+
+  /// Re-links the delta rows a crash left out of a hash index (at most
+  /// the newest). Writes; call it after Attach on a writable open.
+  Status Repair();
 
   /// Creates a hash index on `column` (point lookups; the main-side
   /// group-key index materialises at the next merge). Backfills existing
-  /// delta rows.
+  /// delta rows into the still inactive slot and activates it last, so a
+  /// crash mid-build only leaks the slot's storage. The caller excludes
+  /// concurrent inserts (table write mutex).
   Status CreateIndex(size_t column) {
     return CreateIndexOfKind(column, storage::kIndexHash);
   }
@@ -66,20 +73,16 @@ class IndexSet {
       });
       return Status::OK();
     }
-    // One hash serves both the dictionary probe and the bucket chain. A
+    // The dictionary probe yields the value id the chains are keyed by. A
     // value the delta dictionary lacks has no delta rows.
-    const storage::DataType type = table_->schema().column(column).type;
-    const uint64_t hash = storage::HashValue(value, type);
     const auto& delta_col = table_->delta().column(column);
-    const storage::ValueId delta_id =
-        delta_col.dictionary().Lookup(value, hash);
+    const storage::ValueId delta_id = delta_col.dictionary().Lookup(value);
     if (delta_id == storage::kInvalidValueId) return Status::OK();
-    bound->delta_hash.ForEachCandidate(hash, [&](uint64_t row) {
+    return bound->delta_hash.ForEachRow(delta_id, [&](uint64_t row) {
       if (delta_col.AttrAt(row) == delta_id) {
         fn(storage::RowLocation{false, row});
       }
     });
-    return Status::OK();
   }
 
   /// Calls `fn(RowLocation)` for candidates with lo <= column <= hi.

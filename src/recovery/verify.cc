@@ -12,7 +12,6 @@
 #include "alloc/region_header.h"
 #include "common/bit_util.h"
 #include "common/crc32.h"
-#include "index/delta_index.h"
 #include "obs/blackbox.h"
 #include "storage/catalog.h"
 #include "storage/checksums.h"
@@ -692,17 +691,16 @@ void VerifyDeltaColumn(Ctx& ctx, const PDeltaColumnMeta& col,
   }
 }
 
-/// Content seal of a hash index: identity fields plus bucket heads and
-/// entry chains. Skip-list indexes get structural checks only (their
-/// entries vector doubles as a variable-width key blob).
+/// Content seal of a hash index: identity fields, the linked count and
+/// the heads and links. Skip-list indexes get structural checks only
+/// (their entries vector doubles as a variable-width key blob).
 uint64_t HashIndexSeal(const nvm::PmemRegion& region,
                        const PIndexMeta& idx) {
   uint32_t crc = Crc32c(&idx.kind, sizeof(idx.kind));
   crc = Crc32c(&idx.column, sizeof(idx.column), crc);
-  crc = Crc32c(&idx.bucket_count, sizeof(idx.bucket_count), crc);
-  crc = storage::CrcOfVectorContent(region, idx.buckets, 8, crc);
-  crc = storage::CrcOfVectorContent(
-      region, idx.entries, sizeof(index::DeltaIndexEntry), crc);
+  crc = Crc32c(&idx.linked, sizeof(idx.linked), crc);
+  crc = storage::CrcOfVectorContent(region, idx.entries,
+                                    sizeof(storage::PIndexSlot), crc);
   return SealTag(crc);
 }
 
@@ -755,10 +753,8 @@ void VerifyIndex(Ctx& ctx, const PIndexMeta& idx, const PTableGroup& group,
                where + ": unknown index kind " + std::to_string(idx.kind));
     return;
   }
-  bool healthy =
-      CheckDesc(ctx, idx.buckets, 8, where + " buckets") &&
-      CheckDesc(ctx, idx.entries, sizeof(index::DeltaIndexEntry),
-                where + " entries");
+  bool healthy = CheckDesc(ctx, idx.entries, sizeof(storage::PIndexSlot),
+                           where + " entries");
   if (healthy && ctx.sealed && idx.content_seal != 0 &&
       idx.content_seal != HashIndexSeal(region, idx)) {
     AddFinding(ctx, "index", FindingSeverity::kTable,
@@ -766,56 +762,76 @@ void VerifyIndex(Ctx& ctx, const PIndexMeta& idx, const PTableGroup& group,
     healthy = false;
   }
   if (!healthy) return;
-  if (idx.bucket_count == 0 ||
-      (idx.bucket_count & (idx.bucket_count - 1)) != 0 ||
-      idx.buckets.size != idx.bucket_count) {
+  const PDeltaColumnMeta& col =
+      *const_cast<PTableGroup&>(group).delta_col(idx.column, num_columns);
+  const uint64_t slot_count = idx.entries.size;
+  const uint64_t linked = idx.linked;
+  if (linked > group.delta_mvcc.size || linked > col.attr.size ||
+      linked > slot_count) {
     AddFinding(ctx, "index", FindingSeverity::kTable,
-               where + ": bucket table malformed (bucket_count " +
-                   std::to_string(idx.bucket_count) + ", buckets " +
-                   std::to_string(idx.buckets.size) + ")");
+               where + ": " + std::to_string(linked) +
+                   " links outnumber the delta rows (" +
+                   std::to_string(group.delta_mvcc.size) + ") or slots (" +
+                   std::to_string(slot_count) + ")");
     return;
   }
-  const auto* heads = reinterpret_cast<const uint64_t*>(
-      ContentOf(region, idx.buckets, 8));
-  const auto* entries = reinterpret_cast<const index::DeltaIndexEntry*>(
-      ContentOf(region, idx.entries, sizeof(index::DeltaIndexEntry)));
-  const uint64_t entry_count = idx.entries.size;
-  if (heads == nullptr || (entry_count > 0 && entries == nullptr)) return;
-  // Cross-check: every chained entry references an existing delta row of
-  // the indexed column.
-  const uint64_t physical_rows =
-      const_cast<PTableGroup&>(group)
-          .delta_col(idx.column, num_columns)
-          ->attr.size;
-  for (uint64_t b = 0; b < idx.bucket_count; ++b) {
-    uint64_t pos = heads[b];  // 1-based
-    uint64_t steps = 0;
-    while (pos != 0) {
-      if (pos > entry_count) {
-        AddFinding(ctx, "index", FindingSeverity::kTable,
-                   where + ": bucket " + std::to_string(b) +
-                       " chain references entry " + std::to_string(pos) +
-                       " beyond the entry vector (" +
-                       std::to_string(entry_count) + ")");
-        return;
-      }
-      if (++steps > entry_count) {
-        AddFinding(ctx, "index", FindingSeverity::kTable,
-                   where + ": bucket " + std::to_string(b) +
-                       " chain contains a cycle");
-        return;
-      }
-      const index::DeltaIndexEntry& entry = entries[pos - 1];
-      if (entry.row >= physical_rows) {
-        AddFinding(ctx, "index", FindingSeverity::kTable,
-                   where + ": entry " + std::to_string(pos) +
-                       " references delta row " + std::to_string(entry.row) +
-                       " beyond the partition (" +
-                       std::to_string(physical_rows) + " rows)");
-        return;
-      }
-      pos = entry.next;
+  if (slot_count == 0) return;
+  const auto* slots = reinterpret_cast<const storage::PIndexSlot*>(
+      ContentOf(region, idx.entries, sizeof(storage::PIndexSlot)));
+  const auto* ids =
+      reinterpret_cast<const uint32_t*>(ContentOf(region, col.attr, 4));
+  if (slots == nullptr || (linked > 0 && ids == nullptr)) return;
+  for (uint64_t row = 0; row < linked; ++row) {
+    if (slots[row].link > row) {
+      AddFinding(ctx, "index", FindingSeverity::kTable,
+                 where + ": link of row " + std::to_string(row) +
+                     " points forward to row " +
+                     std::to_string(slots[row].link - 1));
+      return;
     }
+  }
+  // Every link points back, so each chain walk ends; a row holding its
+  // chain's id lies on that one chain only.
+  uint64_t reached = 0;
+  for (uint64_t id = 0; id < slot_count; ++id) {
+    const uint64_t head = slots[id].head;
+    if (head != 0 && id >= col.dict_values.size) {
+      AddFinding(ctx, "index", FindingSeverity::kTable,
+                 where + ": head for id " + std::to_string(id) +
+                     " beyond the dictionary (" +
+                     std::to_string(col.dict_values.size) + " ids)");
+      return;
+    }
+    if (head > linked) {
+      AddFinding(ctx, "index", FindingSeverity::kTable,
+                 where + ": head of id " + std::to_string(id) +
+                     " points at row " + std::to_string(head - 1) +
+                     " beyond the linked rows (" + std::to_string(linked) +
+                     ")");
+      return;
+    }
+    for (uint64_t pos = head; pos != 0; pos = slots[pos - 1].link) {
+      if (ids[pos - 1] != id) {
+        AddFinding(ctx, "index", FindingSeverity::kTable,
+                   where + ": row " + std::to_string(pos - 1) +
+                       " on the chain of id " + std::to_string(id) +
+                       " holds id " + std::to_string(ids[pos - 1]));
+        return;
+      }
+      ++reached;
+    }
+  }
+  if (linked == 0) return;
+  // Only the newest row may be off its chain: a crash cut its insert
+  // before the head publish (index/delta_index.h).
+  const uint64_t newest_id = ids[linked - 1];
+  const bool newest_published =
+      newest_id < slot_count && slots[newest_id].head == linked;
+  const uint64_t expected = linked - (newest_published ? 0 : 1);
+  if (reached != expected) {
+    AddFinding(ctx, "index", FindingSeverity::kTable,
+               where + ": heads reach " + std::to_string(reached) + " of " +
+                   std::to_string(linked) + " linked rows");
   }
 }
 

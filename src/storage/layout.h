@@ -53,7 +53,7 @@ constexpr uint64_t kMaxIndexesPerTable = 4;
 
 /// Secondary-index kinds.
 enum PIndexKind : uint64_t {
-  kIndexHash = 0,      // point lookups: persistent chaining hash
+  kIndexHash = 0,      // point lookups: value-id chains over the delta
   kIndexSkipList = 1,  // ordered lookups: persistent skip list
 };
 
@@ -71,19 +71,28 @@ struct PSkipNode {
   uint64_t next[kSkipListMaxHeight];  // node offsets; 0 = end
 };
 
+/// One position of a delta hash index: slot i holds the head of value
+/// id i and the link of delta row i (see index/delta_index.h).
+struct PIndexSlot {
+  uint64_t head;  // 1 + the newest row whose cell holds id i (0 = none)
+  uint64_t link;  // 1 + the next older row holding row i's id (0 = end)
+};
+static_assert(sizeof(PIndexSlot) == 16, "index slot layout");
+
 /// On-NVM metadata of one secondary index over the delta partition.
-/// kIndexHash: `buckets` holds uint64 heads (1-based positions into
-/// `entries`, 0 = empty), `entries` holds DeltaIndexEntry chains.
-/// kIndexSkipList: `head_off` is the head node, `entries` doubles as the
-/// key blob for string columns. The main-partition side of either kind is
-/// the group-key CSR in PMainColumnMeta, rebuilt at merge.
+/// kIndexHash chains delta rows by their delta-dictionary value id:
+/// `entries` holds one PIndexSlot per id and per row, and rows
+/// [0, linked) are linked. kIndexSkipList: `head_off` is the head node and
+/// `entries` doubles as the key blob for string columns. The
+/// main-partition side of either kind is the group-key CSR in
+/// PMainColumnMeta, rebuilt at merge. A slot is only read once `state` is
+/// 1, which creation sets last.
 struct PIndexMeta {
-  uint64_t state;   // 0 = empty slot, 1 = active
-  uint64_t kind;    // PIndexKind
-  uint64_t column;  // indexed column
-  uint64_t bucket_count;           // hash: power of two
-  uint64_t head_off;               // skip list: head node offset
-  alloc::PVectorDesc buckets;
+  uint64_t state;     // 0 = empty slot, 1 = active
+  uint64_t kind;      // PIndexKind
+  uint64_t column;    // indexed column
+  uint64_t head_off;  // skip list: head node offset
+  uint64_t linked;    // hash: delta rows linked, in row order
   alloc::PVectorDesc entries;
   uint64_t content_seal;  // clean-shutdown seal over index content (0 = none)
 };

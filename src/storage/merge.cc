@@ -15,9 +15,6 @@ namespace hyrise_nv::storage {
 
 namespace {
 
-/// Default bucket count for the fresh delta hash index of the new group.
-constexpr uint64_t kFreshIndexBuckets = 1024;
-
 /// Frees the active buffer of a persistent vector (used when retiring the
 /// old group). Best-effort: failures only leak.
 void FreeVectorBuffer(alloc::PAllocator& alloc,
@@ -309,8 +306,7 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
     PIndexMeta* new_idx = &new_group->indexes[s];
     new_idx->kind = old_idx.kind;
     new_idx->column = old_idx.column;
-    alloc::PVector<uint64_t>::Format(region, &new_idx->buckets);
-    alloc::PVector<uint64_t>::Format(region, &new_idx->entries);
+    alloc::PVector<PIndexSlot>::Format(region, &new_idx->entries);
     if (old_idx.kind == kIndexSkipList) {
       // Fresh head node for an empty skip list.
       auto head_result = alloc.Alloc(sizeof(PSkipNode));
@@ -321,13 +317,6 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
       head->height = kSkipListMaxHeight;
       region.Persist(head, sizeof(PSkipNode));
       new_idx->head_off = *head_result;
-      new_idx->bucket_count = 0;
-    } else {
-      new_idx->bucket_count = kFreshIndexBuckets;
-      alloc::PVector<uint64_t> buckets(&region, &alloc,
-                                       &new_idx->buckets);
-      HYRISE_NV_RETURN_NOT_OK(buckets.AppendFill(0, kFreshIndexBuckets));
-      new_idx->head_off = 0;
     }
     new_idx->state = 1;
     region.Persist(new_idx, sizeof(PIndexMeta));
@@ -358,7 +347,6 @@ Result<MergeStats> MergeTable(Table& table, Cid snapshot) {
   FreeVectorBuffer(alloc, old_group->delta_mvcc);
   for (uint64_t s = 0; s < kMaxIndexesPerTable; ++s) {
     if (old_group->indexes[s].state == 1) {
-      FreeVectorBuffer(alloc, old_group->indexes[s].buckets);
       FreeVectorBuffer(alloc, old_group->indexes[s].entries);
     }
   }

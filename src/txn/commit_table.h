@@ -1,6 +1,7 @@
 #ifndef HYRISE_NV_TXN_COMMIT_TABLE_H_
 #define HYRISE_NV_TXN_COMMIT_TABLE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -108,7 +109,12 @@ class CommitTable {
 
   HYRISE_NV_DISALLOW_COPY_AND_MOVE(CommitTable);
 
-  storage::Cid watermark() const { return block_->commit_watermark; }
+  /// An acquire load that pairs with AdvanceWatermark's release store, so
+  /// a reader that sees a CID also sees what was written before it.
+  storage::Cid watermark() const {
+    return std::atomic_ref<uint64_t>(block_->commit_watermark)
+        .load(std::memory_order_acquire);
+  }
 
   /// Publishes `cid` as fully committed (single atomic persist). Callers
   /// must externally order their advances (OrderedPublisher / recovery).

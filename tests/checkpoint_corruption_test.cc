@@ -57,6 +57,7 @@ class WalCorruptionTest : public ::testing::Test {
   }
 
   DatabaseOptions WalOptions(const std::string& prefix) {
+    TearDown();  // a test that asks twice keeps only its newest dir
     DatabaseOptions options;
     options.mode = DurabilityMode::kWalValue;
     options.region_size = 64 << 20;
@@ -309,61 +310,71 @@ void SetFormatVersion(const std::string& path, uint32_t version) {
 }
 
 TEST_F(WalCorruptionTest, FormatV2ImageIsRefused) {
-  DatabaseOptions options = WalOptions("format_v2_refused");
-  options.mode = DurabilityMode::kNvm;
-  options.tracking = nvm::TrackingMode::kNone;
-  {
-    auto db = std::move(Database::Create(options)).ValueUnsafe();
-    storage::Table* table = *db->CreateTable("kv", KvSchema());
-    ASSERT_TRUE(db->InsertAutoCommit(
-                      table, {Value(int64_t{1}), Value(std::string("x"))})
-                    .ok());
-    ASSERT_TRUE(db->Close().ok());
+  // v2 predates the persistent dictionary tables and v3 the value-id
+  // chains of the delta hash index: their group layouts differ from the
+  // current one, so neither image may be attached.
+  for (const uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    DatabaseOptions options =
+        WalOptions("format_v" + std::to_string(version) + "_refused");
+    options.mode = DurabilityMode::kNvm;
+    options.tracking = nvm::TrackingMode::kNone;
+    {
+      auto db = std::move(Database::Create(options)).ValueUnsafe();
+      storage::Table* table = *db->CreateTable("kv", KvSchema());
+      ASSERT_TRUE(db->InsertAutoCommit(
+                        table, {Value(int64_t{1}), Value(std::string("x"))})
+                      .ok());
+      ASSERT_TRUE(db->Close().ok());
+    }
+    SetFormatVersion(options.NvmImagePath(), version);
+    auto db_result = Database::Open(options);
+    ASSERT_FALSE(db_result.ok());
+    EXPECT_TRUE(db_result.status().IsCorruption());
+    EXPECT_NE(db_result.status().ToString().find(
+                  "unsupported region format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << db_result.status().ToString();
   }
-  // A v2 image predates the persistent dictionary tables: its delta
-  // column metadata has another layout, so it must not be attached.
-  SetFormatVersion(options.NvmImagePath(), 2);
-  auto db_result = Database::Open(options);
-  ASSERT_FALSE(db_result.ok());
-  EXPECT_TRUE(db_result.status().IsCorruption());
-  EXPECT_NE(db_result.status().ToString().find(
-                "unsupported region format version 2"),
-            std::string::npos)
-      << db_result.status().ToString();
 }
 
 TEST_F(WalCorruptionTest, FormatV2ImageWithWalFallsBackToLog) {
-  auto options = WalOptions("format_v2_fallback");
-  {
-    auto db = std::move(Database::Create(options)).ValueUnsafe();
-    storage::Table* table = *db->CreateTable("kv", KvSchema());
-    for (int i = 0; i < 30; ++i) {
-      ASSERT_TRUE(db->InsertAutoCommit(table, {Value(int64_t{i}),
-                                               Value(std::string("w"))})
-                      .ok());
+  for (const uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    auto options =
+        WalOptions("format_v" + std::to_string(version) + "_fallback");
+    {
+      auto db = std::move(Database::Create(options)).ValueUnsafe();
+      storage::Table* table = *db->CreateTable("kv", KvSchema());
+      for (int i = 0; i < 30; ++i) {
+        ASSERT_TRUE(db->InsertAutoCommit(table, {Value(int64_t{i}),
+                                                 Value(std::string("w"))})
+                        .ok());
+      }
+      ASSERT_TRUE(db->Close().ok());
     }
-    ASSERT_TRUE(db->Close().ok());
-  }
-  DatabaseOptions nvm_options = options;
-  nvm_options.mode = DurabilityMode::kNvm;
-  nvm_options.tracking = nvm::TrackingMode::kNone;
-  {
-    auto db = std::move(Database::Create(nvm_options)).ValueUnsafe();
-    ASSERT_TRUE(db->Close().ok());
-  }
-  SetFormatVersion(nvm_options.NvmImagePath(), 2);
+    DatabaseOptions nvm_options = options;
+    nvm_options.mode = DurabilityMode::kNvm;
+    nvm_options.tracking = nvm::TrackingMode::kNone;
+    {
+      auto db = std::move(Database::Create(nvm_options)).ValueUnsafe();
+      ASSERT_TRUE(db->Close().ok());
+    }
+    SetFormatVersion(nvm_options.NvmImagePath(), version);
 
-  auto db_result = Database::Open(nvm_options);
-  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
-  auto& db = *db_result;
-  EXPECT_TRUE(db->last_recovery_report().fell_back_to_log);
-  storage::Table* table = *db->GetTable("kv");
-  EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 30u);
-  ASSERT_TRUE(db->Close().ok());
-  // The rebuilt image is current-format and opens without the log.
-  db_result = Database::Open(nvm_options);
-  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
-  EXPECT_FALSE((*db_result)->last_recovery_report().fell_back_to_log);
+    auto db_result = Database::Open(nvm_options);
+    ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+    auto& db = *db_result;
+    EXPECT_TRUE(db->last_recovery_report().fell_back_to_log);
+    storage::Table* table = *db->GetTable("kv");
+    EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 30u);
+    ASSERT_TRUE(db->Close().ok());
+    // The rebuilt image is current-format and opens without the log.
+    db_result = Database::Open(nvm_options);
+    ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+    EXPECT_FALSE((*db_result)->last_recovery_report().fell_back_to_log);
+  }
 }
 
 }  // namespace

@@ -122,6 +122,50 @@ class CorruptionMatrixTest : public ::testing::Test {
     ASSERT_TRUE(region->SyncToFile().ok());
   }
 
+  /// Maps the image and lets `edit` rewrite the hash index's slots (head
+  /// and link each hold 1 + a delta row). The content seal is cleared, so
+  /// only the structural checks can catch the damage.
+  void EditHashIndex(
+      const std::function<void(storage::PIndexSlot* slots)>& edit) {
+    nvm::PmemRegionOptions options;
+    options.file_path = image_;
+    options.tracking = nvm::TrackingMode::kNone;
+    auto region = std::move(nvm::PmemRegion::Open(options)).ValueUnsafe();
+    Nav nav{*region};
+    storage::PIndexMeta* idx = nullptr;
+    for (auto& slot : nav.Group()->indexes) {
+      if (slot.state == 1 && slot.kind == storage::kIndexHash) idx = &slot;
+    }
+    ASSERT_NE(idx, nullptr) << "image has no hash index";
+    edit(nav.At<storage::PIndexSlot>(Nav::DescData(idx->entries)));
+    idx->content_seal = 0;
+    ASSERT_TRUE(region->SyncToFile().ok());
+  }
+
+  /// Opens a copy of the image normally and looks `key` up through the
+  /// hash index.
+  Status LookupInCopy(const std::string& name, int64_t key) {
+    core::DatabaseOptions options;
+    options.mode = core::DurabilityMode::kNvm;
+    options.region_size = 64 << 20;
+    options.data_dir = nvm::TempPath(name);
+    options.tracking = nvm::TrackingMode::kNone;
+    std::filesystem::create_directories(options.data_dir);
+    std::filesystem::copy_file(image_, options.NvmImagePath());
+    Status status;
+    {
+      auto db_result = core::Database::Open(options);
+      if (!db_result.ok()) return db_result.status();
+      auto& db = *db_result;
+      status = db->ScanEqual(*db->GetTable("kv"), 0, Value(key),
+                             db->ReadSnapshot(), storage::kTidNone)
+                   .status();
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(options.data_dir, ec);
+    return status;
+  }
+
   VerifyReport Verify() {
     nvm::PmemRegionOptions options;
     options.file_path = image_;
@@ -247,12 +291,37 @@ TEST_F(CorruptionMatrixTest, HashIndexBucketFlipDetected) {
     for (uint64_t s = 0; s < storage::kMaxIndexesPerTable; ++s) {
       if (group->indexes[s].state == 1 &&
           group->indexes[s].kind == storage::kIndexHash) {
-        return Nav::DescData(group->indexes[s].buckets);
+        return Nav::DescData(group->indexes[s].entries);
       }
     }
     ADD_FAILURE() << "image has no hash index";
     return uint64_t{1};
   });
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
+}
+
+// The pristine delta holds keys 100..109 in rows 0..9 with ids 0..9, so
+// slot i holds head i + 1 and link 0.
+TEST_F(CorruptionMatrixTest, HashIndexForwardLinkDetected) {
+  EditHashIndex([](storage::PIndexSlot* slots) { slots[2].link = 5; });
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
+  // The walk stops at the forward link instead of following it.
+  const Status status = LookupInCopy("corruption_matrix_forward", 102);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST_F(CorruptionMatrixTest, HashIndexHeadBeyondLinksDetected) {
+  EditHashIndex([](storage::PIndexSlot* slots) { slots[0].head = 11; });
+  VerifyReport report = Verify();
+  EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
+  const Status status = LookupInCopy("corruption_matrix_head", 100);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST_F(CorruptionMatrixTest, HashIndexHeadOnAnotherIdsRowDetected) {
+  EditHashIndex([](storage::PIndexSlot* slots) { slots[0].head = 2; });
   VerifyReport report = Verify();
   EXPECT_TRUE(report.HasStructure("index")) << report.Summary();
 }

@@ -29,6 +29,7 @@
 // Exit codes: 0 = image is clean, 1 = usage error, 2 = corruption
 // found, 3 = the image cannot be opened at all.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -224,7 +225,31 @@ void PrintTable(storage::Table& table, bool verbose) {
                 IndexKindName(idx.kind));
     const auto& main_meta = *group->main_col(idx.column);
     const bool has_gk = main_meta.gk_offsets.size > 0;
-    std::printf("  (group-key on main: %s)\n", has_gk ? "yes" : "no");
+    std::printf("  (group-key on main: %s)", has_gk ? "yes" : "no");
+    const index::DeltaIndex delta(&table.heap().region(),
+                                  &table.heap().allocator(),
+                                  &group->indexes[s]);
+    if (idx.kind == storage::kIndexHash && delta.Attach().ok()) {
+      // Heads count the values with delta rows; the longest chain is the
+      // version count of the most-updated value.
+      uint64_t heads = 0;
+      uint64_t longest = 0;
+      bool broken = false;
+      for (uint64_t id = 0; id < delta.slot_count(); ++id) {
+        uint64_t length = 0;
+        broken |= !delta
+                       .ForEachRow(static_cast<storage::ValueId>(id),
+                                   [&](uint64_t) { ++length; })
+                       .ok();
+        heads += length > 0 ? 1 : 0;
+        longest = std::max(longest, length);
+      }
+      std::printf("  heads %" PRIu64 "  links %" PRIu64
+                  "  longest chain %" PRIu64 "%s",
+                  heads, delta.link_count(), longest,
+                  broken ? " (broken chain)" : "");
+    }
+    std::printf("\n");
   }
 
   // MVCC health: committed / deleted / claimed / never-committed rows.
