@@ -109,7 +109,13 @@ class PmemRegion {
   /// the working image, so a test can run past the crash point and then
   /// call SimulateCrash() to rewind to it. Pass UINT64_MAX to disable.
   /// Only meaningful in kShadow mode.
-  void FreezeShadowAfterFences(uint64_t count);
+  ///
+  /// `torn_mask` tears the epoch the freeze cuts. Persistent memory drains
+  /// the lines flushed before one fence in any order, so power may fail
+  /// with any subset of them durable: of the flushes issued after the
+  /// freezing fence, the i-th still reaches the durable image at the next
+  /// fence (or at SimulateCrash, if that comes first) when bit i is set.
+  void FreezeShadowAfterFences(uint64_t count, uint64_t torn_mask = 0);
 
   /// Whether the durable image is currently frozen.
   bool shadow_frozen() const { return shadow_frozen_; }
@@ -146,6 +152,10 @@ class PmemRegion {
   // Copies staged line ranges working -> shadow. Caller holds mutex_.
   void ApplyPendingLocked();
 
+  // Copies the staged ranges torn_mask_ selects, then disarms the mask.
+  // Caller holds mutex_.
+  void ApplyTornLocked();
+
   // Applies any armed persist faults (bit flip / stall) to the range just
   // made durable. Called from Persist only when the injector is armed.
   void MaybeInjectPersistFault(const void* addr, size_t len);
@@ -157,6 +167,7 @@ class PmemRegion {
   std::vector<std::pair<uint64_t, uint64_t>> pending_;  // staged [begin,end) line ranges
   uint64_t fence_budget_ = UINT64_MAX;  // fences until the shadow freezes
   bool shadow_frozen_ = false;
+  uint64_t torn_mask_ = 0;  // staged ranges of the cut epoch that persist
   std::mutex mutex_;
   int fd_ = -1;
   bool mapped_ = false;

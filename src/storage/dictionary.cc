@@ -398,11 +398,11 @@ Result<ValueId> DeltaDictionary::GetOrInsert(const Value& value) {
   return id;
 }
 
-ValueId DeltaDictionary::Lookup(const Value& value, uint64_t hash) const {
+ValueId DeltaDictionary::Lookup(const Value& value) const {
   const Key key = KeyOf(value);
   const PDictTable* table = LiveTable();
   if (table != nullptr) {
-    const ValueId found = Probe(table, key, hash, nullptr);
+    const ValueId found = Probe(table, key, HashOf(key), nullptr);
     if (found != kInvalidValueId) return found;
   }
   // Ids Attach found missing (none once Repair ran) are compared directly.

@@ -86,12 +86,8 @@ class DeltaDictionary {
   /// the dictionary entry before returning.
   Result<ValueId> GetOrInsert(const Value& value);
 
-  /// Id of `value` if present, else kInvalidValueId. `hash` must be
-  /// HashValue(value, type()).
-  ValueId Lookup(const Value& value) const {
-    return Lookup(value, HashValue(value, type_));
-  }
-  ValueId Lookup(const Value& value, uint64_t hash) const;
+  /// Id of `value` if present, else kInvalidValueId.
+  ValueId Lookup(const Value& value) const;
 
   Value GetValue(ValueId id) const;
 

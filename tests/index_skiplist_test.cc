@@ -36,7 +36,8 @@ class SkipListTest : public ::testing::Test {
   }
 
   PSkipList MakeList(DataType type) {
-    EXPECT_TRUE(PSkipList::Create(type, *heap_, meta_, 0).ok());
+    EXPECT_TRUE(PSkipList::Format(*heap_, meta_, 0).ok());
+    heap_->region().AtomicPersist64(&meta_->state, 1);
     PSkipList list(type, heap_.get(), meta_);
     EXPECT_TRUE(list.Attach().ok());
     return list;

@@ -191,6 +191,37 @@ TEST(PmemRegionTest, LatencyModelCharged) {
             90);
 }
 
+TEST(PmemRegionTest, TornEpochKeepsOnlyTheMaskedFlushes) {
+  auto result = PmemRegion::Create(1 << 16, ShadowOptions());
+  ASSERT_TRUE(result.ok());
+  auto& region = **result;
+  region.FreezeShadowAfterFences(1, /*torn_mask=*/0b10);
+  region.base()[0] = 1;
+  region.Persist(region.base(), 1);  // the freezing fence
+  region.base()[4096] = 2;
+  region.Flush(region.base() + 4096, 1);
+  region.base()[8192] = 3;
+  region.Flush(region.base() + 8192, 1);
+  region.Fence();  // ends the torn epoch: only its second flush persists
+  region.base()[12288] = 4;
+  region.Persist(region.base() + 12288, 1);
+  ASSERT_TRUE(region.SimulateCrash().ok());
+  EXPECT_EQ(region.base()[0], 1);
+  EXPECT_EQ(region.base()[4096], 0);
+  EXPECT_EQ(region.base()[8192], 3);
+  EXPECT_EQ(region.base()[12288], 0);
+
+  // A crash before the torn epoch's fence tears it the same way.
+  region.FreezeShadowAfterFences(0, /*torn_mask=*/0b01);
+  region.base()[4096] = 5;
+  region.Flush(region.base() + 4096, 1);
+  region.base()[8192] = 6;
+  region.Flush(region.base() + 8192, 1);
+  ASSERT_TRUE(region.SimulateCrash().ok());
+  EXPECT_EQ(region.base()[4096], 5);
+  EXPECT_EQ(region.base()[8192], 3);
+}
+
 TEST(PmemRegionTest, ContinueAfterCrashThenPersistAgain) {
   auto result = PmemRegion::Create(1 << 12, ShadowOptions());
   ASSERT_TRUE(result.ok());
