@@ -44,6 +44,13 @@ Status ClaimForInvalidate(nvm::PmemRegion& region, MvccEntry* entry,
                                    __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)) {
     return Status::TransactionConflict("row claim raced");
   }
+  // A transaction that invalidated the row and committed stamped `end`
+  // before it released its claim, so holding the claim now shows it: the
+  // first committer wins, even where our snapshot still sees the row.
+  if (__atomic_load_n(&entry->end, __ATOMIC_ACQUIRE) != kCidInfinity) {
+    __atomic_store_n(&entry->tid, current, __ATOMIC_RELEASE);
+    return Status::TransactionConflict("row already invalidated");
+  }
   region.Persist(&entry->tid, sizeof(entry->tid));
   return Status::OK();
 }

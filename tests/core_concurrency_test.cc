@@ -127,6 +127,24 @@ TEST(ConcurrencyTest, ContendedDeleteOnlyOneWins) {
   EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 0u);
 }
 
+TEST(ConcurrencyTest, DeleteOfRowDeletedSinceSnapshotConflicts) {
+  auto db = MakeDb();
+  storage::Table* table = *db->CreateTable("kv", KvSchema());
+  auto tx0 = *db->Begin();
+  auto loc = *db->Insert(tx0, table,
+                         {Value(int64_t{1}), Value(std::string("x"))});
+  ASSERT_TRUE(db->Commit(tx0).ok());
+
+  auto late = *db->Begin();  // its snapshot keeps seeing the row
+  auto first = *db->Begin();
+  ASSERT_TRUE(db->Delete(first, table, loc).ok());
+  ASSERT_TRUE(db->Commit(first).ok());
+  const Status status = db->Delete(late, table, loc);
+  EXPECT_TRUE(status.IsConflict()) << status.ToString();
+  ASSERT_TRUE(db->Abort(late).ok());
+  EXPECT_EQ(CountRows(table, db->ReadSnapshot(), storage::kTidNone), 0u);
+}
+
 TEST(ConcurrencyTest, ParallelTidsAreUnique) {
   auto db = MakeDb();
   constexpr int kThreads = 8;
