@@ -41,20 +41,10 @@ Result<std::unique_ptr<PHeap>> PHeap::OpenForInspection(
   return heap;
 }
 
-Status PHeap::FinishOpen() {
+Status PHeap::RecoverAllocator() {
   HYRISE_NV_RETURN_NOT_OK(allocator_->Recover());
   MarkDirty(*region_);
-  AttachBlackbox();
   return Status::OK();
-}
-
-Result<std::unique_ptr<PHeap>> PHeap::Open(
-    const nvm::PmemRegionOptions& options) {
-  auto heap_result = OpenForInspection(options);
-  if (!heap_result.ok()) return heap_result.status();
-  auto heap = std::move(heap_result).ValueUnsafe();
-  HYRISE_NV_RETURN_NOT_OK(heap->FinishOpen());
-  return heap;
 }
 
 Status PHeap::CloseClean() {

@@ -15,27 +15,25 @@
 namespace hyrise_nv::alloc {
 
 /// A formatted persistent heap: region + header + allocator, the unit the
-/// storage engine builds on. Create() formats a fresh region; Open()
-/// validates an existing one and runs allocator recovery (reclaiming
-/// pending allocation intents) before handing it out.
+/// storage engine builds on. Create() formats a fresh region;
+/// OpenForInspection() validates an existing one, and RecoverAllocator()
+/// plus AttachBlackbox() make it writable (recovery/nvm_recovery.cc times
+/// each step of that open).
 class PHeap {
  public:
   static Result<std::unique_ptr<PHeap>> Create(
       size_t size, const nvm::PmemRegionOptions& options);
 
-  static Result<std::unique_ptr<PHeap>> Open(
-      const nvm::PmemRegionOptions& options);
-
   /// Maps and validates the region without running allocator recovery or
   /// marking it dirty — the image stays byte-identical, so callers can
   /// deep-verify it first and walk away from a corrupt one. Follow with
-  /// FinishOpen() before the first allocation.
+  /// RecoverAllocator() and AttachBlackbox() before the first allocation.
   static Result<std::unique_ptr<PHeap>> OpenForInspection(
       const nvm::PmemRegionOptions& options);
 
-  /// Completes an OpenForInspection: allocator intent recovery + dirty
-  /// mark. After this the heap is equivalent to one from Open().
-  Status FinishOpen();
+  /// Allocator intent recovery (reclaiming pending allocation intents)
+  /// plus the dirty mark.
+  Status RecoverAllocator();
 
   ~PHeap();
 
@@ -45,8 +43,8 @@ class PHeap {
   PAllocator& allocator() { return *allocator_; }
 
   /// The flight recorder of this heap's region; nullptr when the region
-  /// is too small to host one (obs/blackbox.h). Attached by Create(),
-  /// FinishOpen(), and instant restart.
+  /// is too small to host one (obs/blackbox.h). Attached by Create()
+  /// and by instant restart.
   obs::BlackboxWriter* blackbox() { return blackbox_.get(); }
 
   /// Attaches (or re-attaches after a simulated crash) the flight

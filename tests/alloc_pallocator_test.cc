@@ -221,14 +221,16 @@ TEST(RegionHeaderTest, CleanShutdownFlag) {
     ASSERT_TRUE((*heap_result)->CloseClean().ok());
   }
   {
-    auto heap_result = PHeap::Open(opts);
+    auto heap_result = PHeap::OpenForInspection(opts);
     ASSERT_TRUE(heap_result.ok()) << heap_result.status().ToString();
     EXPECT_TRUE((*heap_result)->was_clean_shutdown());
-    // Open marks dirty; reopening without CloseClean must show dirty.
+    // A writable open marks dirty; reopening without CloseClean must
+    // show dirty.
+    ASSERT_TRUE((*heap_result)->RecoverAllocator().ok());
     ASSERT_TRUE((*heap_result)->region().SyncToFile().ok());
   }
   {
-    auto heap_result = PHeap::Open(opts);
+    auto heap_result = PHeap::OpenForInspection(opts);
     ASSERT_TRUE(heap_result.ok());
     EXPECT_FALSE((*heap_result)->was_clean_shutdown());
   }
