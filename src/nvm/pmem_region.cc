@@ -174,7 +174,7 @@ void PmemRegion::Persist(const void* addr, size_t len) {
 #if HYRISE_NV_METRICS_ENABLED
   // The persist barrier is the paper's headline write-path cost; its
   // latency distribution (injected model + real flush work) is the one
-  // histogram worth paying two TSC reads for on this path.
+  // histogram worth paying two clock reads for on this path.
   const uint64_t start_ticks = obs::FastClock::NowTicks();
 #endif
   Flush(addr, len);

@@ -225,7 +225,7 @@ std::unique_ptr<BlackboxWriter> BlackboxWriter::Attach(
   header->session_id += 1;
   header->epoch_ns = WallClockNanos();
   header->base_ticks = FastClock::NowTicks();
-  header->ns_per_tick = FastClock::NsPerTick();
+  header->ns_per_tick = 1.0;  // FastClock ticks are nanoseconds
   region.Persist(header, sizeof(BlackboxHeader));
 
   if (writer->reset_) {

@@ -139,7 +139,7 @@ struct BlackboxHeader {
   uint64_t session_id;  // incremented on every writer attach
   uint64_t epoch_ns;    // wall clock (CLOCK_REALTIME) at last attach
   uint64_t base_ticks;  // FastClock ticks at last attach
-  double ns_per_tick;   // FastClock calibration at last attach
+  double ns_per_tick;   // FastClock tick length at last attach
 
   struct alignas(64) HotCounter {
     uint64_t value;
