@@ -57,7 +57,7 @@ Status AdoptInDoubt(const recovery::LogRecoveryReport& report,
                          << in_doubt.gtid << " tid=" << in_doubt.tid
                          << " (" << in_doubt.writes.size()
                          << " writes) from the log";
-    HYRISE_NV_RETURN_NOT_OK(txn_manager.SealAdoptedPrepared(std::move(ctx)));
+    HYRISE_NV_RETURN_NOT_OK(txn_manager.AdoptPrepared(std::move(ctx)));
   }
   return Status::OK();
 }
@@ -154,13 +154,6 @@ Result<std::unique_ptr<Database>> Database::Open(
       }
       return restart_result.status();
     }
-    db->heap_ = std::move(restart_result->heap);
-    db->catalog_ = std::move(restart_result->catalog);
-    db->txn_manager_ = std::move(restart_result->txn_manager);
-    db->recovery_.mode = options.mode;
-    db->recovery_.recovered = true;
-    db->recovery_.nvm = restart_result->report;
-    tracer.Attach(db->recovery_.nvm.trace);
     if (restart_result->salvage_read_only) {
       db->read_only_ = true;
       db->read_only_reason_ =
@@ -169,19 +162,8 @@ Result<std::unique_ptr<Database>> Database::Open(
       db->recovery_.read_only = true;
       db->recovery_.quarantined_tables = db->quarantined_;
     }
-    tracer.Begin("attach_index_sets");
-    HYRISE_NV_RETURN_NOT_OK(db->AttachAllIndexSets());
-    tracer.End();
-    if (!db->read_only_) {
-      // Re-adopt prepared-but-undecided 2PC transactions straight from
-      // their kPrepared commit slots (instant restart keeps them sealed).
-      HYRISE_NV_RETURN_NOT_OK(
-          db->txn_manager_->AdoptPreparedFromTable(*db->catalog_));
-    }
-    db->recovery_.trace = tracer.Finish();
-    db->recovery_.total_seconds = db->recovery_.trace.seconds;
-    NoteOpened();
-    db->StartObservability(/*recovered=*/true);
+    HYRISE_NV_RETURN_NOT_OK(
+        db->BindRestart(std::move(restart_result).ValueUnsafe(), tracer));
     return db;
   }
 
@@ -367,23 +349,8 @@ Result<std::unique_ptr<Database>> Database::CrashAndRecover(
         recovery::InstantRestartFromHeap(std::move(db->heap_));
     if (!restart_result.ok()) return restart_result.status();
     db.reset();
-    recovered->heap_ = std::move(restart_result->heap);
-    recovered->catalog_ = std::move(restart_result->catalog);
-    recovered->txn_manager_ = std::move(restart_result->txn_manager);
-    recovered->recovery_.mode = options.mode;
-    recovered->recovery_.recovered = true;
-    recovered->recovery_.nvm = restart_result->report;
-    tracer.Attach(recovered->recovery_.nvm.trace);
-    tracer.Begin("attach_index_sets");
-    HYRISE_NV_RETURN_NOT_OK(recovered->AttachAllIndexSets());
-    tracer.End();
-    HYRISE_NV_RETURN_NOT_OK(
-        recovered->txn_manager_->AdoptPreparedFromTable(
-            *recovered->catalog_));
-    recovered->recovery_.trace = tracer.Finish();
-    recovered->recovery_.total_seconds = recovered->recovery_.trace.seconds;
-    NoteOpened();
-    recovered->StartObservability(/*recovered=*/true);
+    HYRISE_NV_RETURN_NOT_OK(recovered->BindRestart(
+        std::move(restart_result).ValueUnsafe(), tracer));
     return recovered;
   }
 
@@ -395,6 +362,25 @@ Result<std::unique_ptr<Database>> Database::CrashAndRecover(
   }
 
   return Status::NotSupported("kNone mode loses everything in a crash");
+}
+
+Status Database::BindRestart(recovery::NvmRestartResult restart,
+                             obs::SpanTracer& tracer) {
+  heap_ = std::move(restart.heap);
+  catalog_ = std::move(restart.catalog);
+  txn_manager_ = std::move(restart.txn_manager);
+  recovery_.mode = options_.mode;
+  recovery_.recovered = true;
+  recovery_.nvm = std::move(restart.report);
+  tracer.Attach(recovery_.nvm.trace);
+  tracer.Begin("attach_index_sets");
+  HYRISE_NV_RETURN_NOT_OK(AttachAllIndexSets());
+  tracer.End();
+  recovery_.trace = tracer.Finish();
+  recovery_.total_seconds = recovery_.trace.seconds;
+  NoteOpened();
+  StartObservability(/*recovered=*/true);
+  return Status::OK();
 }
 
 Status Database::AttachAllIndexSets() {
@@ -904,7 +890,6 @@ void Database::SyncPassiveMetrics() {
     const wal::LogWriter& writer = log_manager_->writer();
     registry.GetCounter("wal.io.retries").Store(writer.io_retries());
     registry.GetCounter("wal.commits.total").Store(writer.total_commits());
-    registry.GetCounter("wal.commits.synced").Store(writer.synced_commits());
     registry.GetCounter("wal.bytes.logged")
         .Store(log_manager_->bytes_logged());
   }

@@ -236,6 +236,13 @@ class Database {
   /// way, in-doubt 2PC transactions are adopted last. Spans go into
   /// `tracer` under "log_recovery".
   Status RecoverFromWal(obs::SpanTracer& tracer, bool on_demand);
+  /// Takes over an NVM instant restart's heap, catalog and txn manager
+  /// (in-flight commits rolled forward, in-doubt 2PC transactions
+  /// adopted), fills the recovery report, grafts the restart trace under
+  /// `tracer`, attaches the index sets and starts the engine. Shared by
+  /// Open and CrashAndRecover; Open sets the salvage flags first.
+  Status BindRestart(recovery::NvmRestartResult restart,
+                     obs::SpanTracer& tracer);
   Status AttachAllIndexSets();
   nvm::PmemRegionOptions MakeRegionOptions() const;
   Status EnsureWritable() const;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace hyrise_nv::core {
 
 const char* DurabilityModeName(DurabilityMode mode) {
@@ -29,40 +31,6 @@ const char* LogRecoveryPolicyName(LogRecoveryPolicy policy) {
   return "unknown";
 }
 
-namespace {
-
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 std::string RecoveryReport::RenderText() const {
   std::ostringstream out;
   out << "recovery: mode=" << DurabilityModeName(mode)
@@ -86,7 +54,7 @@ std::string RecoveryReport::RenderText() const {
 
 std::string RecoveryReport::ToJson() const {
   std::ostringstream out;
-  out << "{\"mode\":" << JsonQuote(DurabilityModeName(mode))
+  out << "{\"mode\":" << common::JsonQuote(DurabilityModeName(mode))
       << ",\"recovered\":" << (recovered ? "true" : "false")
       << ",\"fell_back_to_log\":" << (fell_back_to_log ? "true" : "false")
       << ",\"read_only\":" << (read_only ? "true" : "false")
@@ -94,7 +62,7 @@ std::string RecoveryReport::ToJson() const {
   out << ",\"quarantined_tables\":[";
   for (size_t i = 0; i < quarantined_tables.size(); ++i) {
     if (i > 0) out << ',';
-    out << JsonQuote(quarantined_tables[i]);
+    out << common::JsonQuote(quarantined_tables[i]);
   }
   out << ']';
   if (mode == DurabilityMode::kNvm && !fell_back_to_log) {

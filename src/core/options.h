@@ -85,9 +85,6 @@ struct DatabaseOptions {
   /// Simulated SSD performance for WAL + checkpoints.
   wal::BlockDeviceOptions device;
 
-  /// Group commit: sync the log every N commits (WAL modes).
-  uint32_t group_commit_every = 1;
-
   /// WAL recovery policy (ignored by kNvm/kNone).
   LogRecoveryPolicy log_recovery = LogRecoveryPolicy::kEagerReplay;
 
@@ -140,7 +137,6 @@ struct DatabaseOptions {
                       ? wal::LogFormat::kDictEncoded
                       : wal::LogFormat::kValue;
     opts.device = device;
-    opts.sync_every_n_commits = group_commit_every;
     opts.log_path = LogPath();
     opts.checkpoint_path = CheckpointPath();
     return opts;

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "common/crc32.h"
+#include "common/json.h"
 #include "obs/request_stats.h"
 
 namespace hyrise_nv::obs {
@@ -615,12 +616,8 @@ std::string BlackboxTimelineJson(const BlackboxDecodeResult& result,
   out += result.present ? "\"present\":true" : "\"present\":false";
   out += result.header_valid ? ",\"valid\":true" : ",\"valid\":false";
   if (!result.header_valid && !result.header_error.empty()) {
-    out += ",\"error\":\"";
-    for (char c : result.header_error) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-    out += '"';
+    out += ",\"error\":";
+    out += common::JsonQuote(result.header_error);
   }
   std::snprintf(
       buf, sizeof(buf),

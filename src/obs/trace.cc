@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/macros.h"
 
 namespace hyrise_nv::obs {
@@ -18,13 +19,6 @@ void RenderInto(const SpanNode& node, int depth, std::string& out) {
   }
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 }  // namespace
 
 const SpanNode* SpanNode::Find(std::string_view span_name) const {
@@ -37,7 +31,7 @@ const SpanNode* SpanNode::Find(std::string_view span_name) const {
 
 std::string SpanNode::ToJson() const {
   std::string out = "{\"name\":\"";
-  AppendEscaped(out, name);
+  common::AppendJsonEscaped(out, name);
   char buf[48];
   std::snprintf(buf, sizeof(buf), "\",\"seconds\":%.9f", seconds);
   out += buf;

@@ -31,8 +31,10 @@ Status FinishOpen(alloc::PHeap& heap, obs::SpanTracer& tracer) {
 Result<NvmRestartResult> FinishRestart(NvmRestartResult result,
                                        obs::SpanTracer& tracer) {
   // Phase 2: fixups — allocator intent recovery already ran inside
-  // `map`; complete in-flight commits here. Needs the catalog, so
-  // bind it first (cheap: offsets only, dictionaries later).
+  // `map`; complete in-flight commits and adopt in-doubt 2PC
+  // transactions here, in one pass over the sealed commit slots. Needs
+  // the catalog, so bind it first (cheap: offsets only, dictionaries
+  // later).
   tracer.Begin("fixup");
   tracer.Begin("attach_catalog");
   auto catalog_result = storage::Catalog::Attach(*result.heap);
@@ -48,7 +50,7 @@ Result<NvmRestartResult> FinishRestart(NvmRestartResult result,
 
   tracer.Begin("rollforward_commits");
   HYRISE_NV_RETURN_NOT_OK(
-      result.txn_manager->RecoverInFlight(*result.catalog));
+      result.txn_manager->RecoverCommitSlots(*result.catalog));
   tracer.End();
   result.report.fixup_seconds = tracer.End();
 
@@ -115,8 +117,8 @@ Result<NvmRestartResult> InstantRestart(const NvmRestartOptions& options) {
 
   // Salvage: bind everything except the tables with findings, and leave
   // the image untouched — no allocator recovery, no in-flight commit
-  // rollforward, no torn-insert repair, no dirty mark. The caller must
-  // enforce read-only use.
+  // rollforward or in-doubt adoption, no torn-insert repair, no dirty
+  // mark. The caller must enforce read-only use.
   std::unordered_set<uint64_t> skip;
   for (const auto& finding : verify.findings) {
     if (finding.table_meta_off == 0 ||

@@ -24,7 +24,7 @@ struct NvmRecoveryReport {
                                 // recorder (kDeep: the first two only)
   double verify_seconds = 0;    // deep verification (kDeep only)
   double fixup_seconds = 0;     // catalog + txn manager bind, in-flight
-                                // commits
+                                // commits, in-doubt adoption
   double attach_seconds = 0;    // catalog bind, delta dict map rebuild,
                                 // torn-insert repair
   double total_seconds = 0;
@@ -65,8 +65,9 @@ struct NvmRestartOptions {
 /// answer queries without reading a log or a checkpoint.
 ///
 ///  1. map the region, validate the header (constant work);
-///  2. recover allocator intents and roll in-flight commits forward
-///     (proportional to in-flight work at crash time, not to data);
+///  2. recover allocator intents, roll in-flight commits forward and
+///     adopt in-doubt 2PC transactions (proportional to in-flight work
+///     at crash time, not to data);
 ///  3. attach the catalog — rebinds table handles, repairs torn inserts,
 ///     and re-inserts the at most one delta dictionary id per column
 ///     whose table slot a crash cut off (constant work: the value→id

@@ -151,49 +151,26 @@ void CommitTable::ReleaseSlot(PCommitSlot* slot) {
   slot_cv_.notify_one();
 }
 
-Result<std::vector<CommitTable::InFlight>> CommitTable::FindInFlight() {
-  std::vector<InFlight> result;
+Result<std::vector<CommitTable::SealedSlot>> CommitTable::FindSealed() {
+  std::vector<SealedSlot> result;
   for (auto& slot : block_->slots) {
-    if (slot.state != PCommitSlot::kCommitting) continue;
-    InFlight in_flight;
-    in_flight.slot = &slot;
-    in_flight.cid = slot.cid;
+    if (slot.state != PCommitSlot::kCommitting &&
+        slot.state != PCommitSlot::kPrepared) {
+      continue;
+    }
+    SealedSlot sealed{&slot, {}};
     if (slot.touch_count > 0) {
       if (slot.touch_off == 0 ||
           slot.touch_off + slot.touch_count * sizeof(TouchEntry) >
               heap_->region().size()) {
         return Status::Corruption("commit slot touch list out of range");
       }
-      in_flight.touches.resize(slot.touch_count);
-      std::memcpy(in_flight.touches.data(),
+      sealed.touches.resize(slot.touch_count);
+      std::memcpy(sealed.touches.data(),
                   heap_->region().base() + slot.touch_off,
                   slot.touch_count * sizeof(TouchEntry));
     }
-    result.push_back(std::move(in_flight));
-  }
-  return result;
-}
-
-Result<std::vector<CommitTable::Prepared>> CommitTable::FindPrepared() {
-  std::vector<Prepared> result;
-  for (auto& slot : block_->slots) {
-    if (slot.state != PCommitSlot::kPrepared) continue;
-    Prepared prepared;
-    prepared.slot = &slot;
-    prepared.tid = slot.tid;
-    prepared.gtid = slot.gtid;
-    if (slot.touch_count > 0) {
-      if (slot.touch_off == 0 ||
-          slot.touch_off + slot.touch_count * sizeof(TouchEntry) >
-              heap_->region().size()) {
-        return Status::Corruption("prepared slot touch list out of range");
-      }
-      prepared.touches.resize(slot.touch_count);
-      std::memcpy(prepared.touches.data(),
-                  heap_->region().base() + slot.touch_off,
-                  slot.touch_count * sizeof(TouchEntry));
-    }
-    result.push_back(std::move(prepared));
+    result.push_back(std::move(sealed));
   }
   return result;
 }

@@ -84,8 +84,8 @@ struct PTxnStateBlock {
 };
 
 /// Volatile handle over PTxnStateBlock: watermark, TID/CID block
-/// allocation, commit slots, and enumeration of in-flight commits for
-/// recovery.
+/// allocation, commit slots, and enumeration of sealed slots for
+/// restart.
 ///
 /// Concurrency: slots are claimed through a volatile bitmask so multiple
 /// committers hold distinct slots at once. The slot lifecycle is split in
@@ -103,8 +103,9 @@ class CommitTable {
   /// Allocates and formats the state block; registers the root.
   static Result<std::unique_ptr<CommitTable>> Format(alloc::PHeap& heap);
 
-  /// Binds to an existing state block. Slots found in kCommitting state
-  /// (crashed commits) start out claimed; recovery releases them.
+  /// Binds to an existing state block. Slots found sealed (kCommitting:
+  /// crashed commits; kPrepared: in-doubt transactions) start out
+  /// claimed; restart releases the first, a decide the second.
   static Result<std::unique_ptr<CommitTable>> Attach(alloc::PHeap& heap);
 
   HYRISE_NV_DISALLOW_COPY_AND_MOVE(CommitTable);
@@ -150,28 +151,17 @@ class CommitTable {
   /// commit) and wakes one AcquireSlot waiter.
   void ReleaseSlot(PCommitSlot* slot);
 
-  /// In-flight commit found on NVM after a crash.
-  struct InFlight {
+  /// A sealed slot found on NVM at restart: kCommitting (roll forward)
+  /// or kPrepared (in doubt), with its persisted touch list.
+  struct SealedSlot {
     PCommitSlot* slot;
-    storage::Cid cid;
     std::vector<TouchEntry> touches;
   };
 
-  /// All slots in kCommitting state (recovery input).
-  Result<std::vector<InFlight>> FindInFlight();
-
-  /// Prepared-but-undecided transaction found on NVM after a restart.
-  struct Prepared {
-    PCommitSlot* slot;
-    storage::Tid tid;
-    uint64_t gtid;
-    std::vector<TouchEntry> touches;
-  };
-
-  /// All slots in kPrepared state (in-doubt recovery input). Attach
-  /// already marked them claimed, so decide-commit reuses the original
-  /// slot rather than acquiring a fresh one.
-  Result<std::vector<Prepared>> FindPrepared();
+  /// Every slot in kCommitting or kPrepared state (restart input). Attach
+  /// already marked them claimed, so a prepared transaction's decide
+  /// reuses its original slot.
+  Result<std::vector<SealedSlot>> FindSealed();
 
   PTxnStateBlock* block() { return block_; }
 

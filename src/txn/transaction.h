@@ -41,10 +41,11 @@ struct TxnContext {
   bool sampled = false;
   uint64_t begin_ticks = 0;
   /// Nanoseconds this commit spent in the ordered-publish queue waiting
-  /// for predecessors (filled in by TxnManager::Commit; 0 when the
-  /// commit drained its own batch without blocking).
+  /// for predecessors (filled in by the commit path, for Commit and a
+  /// commit decision alike; 0 when the commit drained its own batch
+  /// without blocking).
   uint64_t commit_queue_wait_ns = 0;
-  /// Commit-pipeline stage timings (filled in by TxnManager::Commit so
+  /// Commit-pipeline stage timings (filled in by the commit path so
   /// the serving layer can attribute request latency without re-timing
   /// the engine): the durability hook (WAL append + group fsync) and the
   /// ordered publish. Zero for read-only commits and hook-less engines.
@@ -52,10 +53,11 @@ struct TxnContext {
   uint64_t commit_publish_ns = 0;
   /// Coordinator-issued global transaction id (kPrepared state only).
   uint64_t gtid = 0;
-  /// The sealed commit slot held across the prepared window (NVM mode);
-  /// decide-commit reuses it so a restart never sees a stale prepared
-  /// slot for a decided transaction. Null for WAL-mode / log-adopted
-  /// in-doubt transactions, which acquire a slot at decide time.
+  /// The kPrepared commit slot held across the prepared window, set by
+  /// Prepare or by adoption at restart (from the image's slot, or sealed
+  /// anew from the log). A commit decision seals this same slot
+  /// kCommitting, so a restart never sees a stale prepared slot for a
+  /// decided transaction. Null only for a read-only prepare.
   PCommitSlot* prepared_slot = nullptr;
   std::vector<Write> writes;
 };

@@ -111,9 +111,14 @@ class ActiveTxnRegistry {
 ///      committers — and finally publishes through the ordered-publish
 ///      queue, which advances the persisted watermark strictly in CID
 ///      order (batched over whole runs of finished commits);
-///   3. a crash at any point either rolls the commit forward (slot was
-///      committing → recovery re-stamps, idempotently) or leaves the
-///      transaction invisible (no slot → claims are stale, stolen later).
+///   3. a 2PC Prepare seals the slot kPrepared instead; a commit decision
+///      enters step 2 at the CID draw with that slot, and an abort
+///      decision runs Abort's rollback, then frees the slot;
+///   4. a restart (RecoverCommitSlots) makes one pass over the sealed
+///      slots: a kCommitting slot rolls forward through the same
+///      stamping, idempotently; a kPrepared one is adopted in doubt. A
+///      transaction without a sealed slot stays invisible (its claims are
+///      stale, stolen later).
 ///
 /// TIDs and CIDs are drawn from persisted blocks so they are never reused
 /// across restarts without scanning anything.
@@ -147,11 +152,12 @@ class TxnManager {
   /// durable state. Rejects duplicate gtids.
   Status Prepare(Transaction& tx, uint64_t gtid);
 
-  /// 2PC phase two: commits (assigns a CID, stamps, publishes) or aborts
-  /// (releases claims) the prepared transaction `gtid`. Idempotent by
-  /// design: an unknown gtid answers OK, so coordinator retries and
-  /// client reconnect races are harmless (the coordinator never flips a
-  /// logged decision).
+  /// 2PC phase two: commits (Commit's stages from the CID draw on, with
+  /// the prepared slot) or aborts (Abort's rollback, then the slot is
+  /// freed) the prepared transaction `gtid`. On failure it stays in
+  /// doubt for a retry. Idempotent by design: an unknown gtid answers
+  /// OK, so coordinator retries and client reconnect races are harmless
+  /// (the coordinator never flips a logged decision).
   Status Decide(uint64_t gtid, bool commit);
 
   /// Gtids of every prepared-but-undecided transaction (the kInDoubt
@@ -161,24 +167,12 @@ class TxnManager {
   /// Number of prepared-but-undecided transactions.
   size_t PreparedCount() const;
 
-  /// Recovery: adopts a reconstructed in-doubt transaction (WAL replay
-  /// path; ctx->prepared_slot == nullptr, a slot is acquired at decide
-  /// time). The ctx must carry tid, gtid, state kPrepared and the
-  /// rebuilt write set.
-  void AdoptPrepared(std::shared_ptr<TxnContext> ctx);
-
-  /// Like AdoptPrepared, but first acquires and seals a kPrepared commit
-  /// slot for the write set (no OnPrepare hook — the log already holds
-  /// the prepare record). Used when the commit table itself must reflect
-  /// the in-doubt state, e.g. when rebuilding an NVM image from the log.
-  Status SealAdoptedPrepared(std::shared_ptr<TxnContext> ctx);
-
-  /// Recovery: scans the commit table for kPrepared slots (NVM instant
-  /// restart path) and adopts each as an in-doubt transaction, rebuilding
-  /// its write set from the persisted touch list. The original slot is
-  /// kept claimed and reused at decide time so a later restart never sees
-  /// a stale prepared slot for a decided transaction.
-  Status AdoptPreparedFromTable(storage::Catalog& catalog);
+  /// Log recovery: adopts a reconstructed in-doubt transaction. The ctx
+  /// must carry tid, gtid, state kPrepared and the rebuilt write set;
+  /// a kPrepared commit slot is sealed for the write set (no OnPrepare
+  /// hook — the log already holds the prepare record), so the commit
+  /// table reflects the in-doubt state as after a live Prepare.
+  Status AdoptPrepared(std::shared_ptr<TxnContext> ctx);
 
   /// Whether `tid` belongs to a currently active or prepared transaction
   /// (prepared TIDs must stay "live" or their row claims would be stolen).
@@ -216,9 +210,12 @@ class TxnManager {
   /// one). Thread-safe copy.
   obs::SpanNode LastSampledTrace() const;
 
-  /// Recovery: completes all in-flight commits found on NVM. `catalog`
-  /// resolves table ids. O(in-flight work), independent of data size.
-  Status RecoverInFlight(storage::Catalog& catalog);
+  /// NVM restart: one pass over the sealed commit slots. kCommitting
+  /// slots roll forward (stamps, watermark, slot release, in that order);
+  /// kPrepared slots are adopted as in-doubt transactions that keep their
+  /// slot for the decide. `catalog` resolves table ids. O(in-flight work),
+  /// independent of data size.
+  Status RecoverCommitSlots(storage::Catalog& catalog);
 
   CommitTable& commit_table() { return *commit_table_; }
 
@@ -237,10 +234,23 @@ class TxnManager {
                           uint64_t persist_end, uint64_t commit_end,
                           obs::BlackboxWriter* bb);
 
-  // Commits a prepared transaction (decide path; `tx` is kPrepared).
-  Status DecideCommit(Transaction& tx);
-  // Aborts a prepared transaction (decide / presumed-abort path).
-  Status DecideAbort(Transaction& tx);
+  // Stage 1 of a commit or prepare: claims a commit slot and persists
+  // the touch list of `writes` into it while it is still kFree.
+  Result<PCommitSlot*> AcquireCommitSlot(const std::vector<Write>& writes);
+
+  // Stages 2-7 of a commit from the slot `tx` holds: a fresh one (Commit)
+  // or the sealed kPrepared one (a commit decision). On failure a fresh
+  // slot is freed and a prepared one stays kPrepared. `start_ticks` is
+  // when the commit latency clock started.
+  Status CommitFromSlot(Transaction& tx, PCommitSlot* slot,
+                        uint64_t start_ticks);
+
+  // Releases the row claims of an active or prepared transaction, runs
+  // the abort hook, then frees a prepared slot (Abort and decide-abort).
+  Status RollBack(Transaction& tx);
+
+  // Enters `ctx` in the prepared registry (IsActive covers its tid).
+  void RegisterPrepared(std::shared_ptr<TxnContext> ctx);
 
   alloc::PHeap* heap_;
   std::unique_ptr<CommitTable> commit_table_;

@@ -8,9 +8,7 @@ Result<std::unique_ptr<LogManager>> LogManager::Create(
   auto device_result = BlockDevice::Create(options.log_path, options.device);
   if (!device_result.ok()) return device_result.status();
   manager->device_ = std::move(device_result).ValueUnsafe();
-  manager->writer_ = std::make_unique<LogWriter>(
-      manager->device_.get(), options.sync_every_n_commits,
-      options.io_max_retries, options.io_retry_backoff_us);
+  manager->writer_ = std::make_unique<LogWriter>(manager->device_.get());
   return manager;
 }
 
@@ -20,9 +18,7 @@ Result<std::unique_ptr<LogManager>> LogManager::OpenExisting(
   auto device_result = BlockDevice::Open(options.log_path, options.device);
   if (!device_result.ok()) return device_result.status();
   manager->device_ = std::move(device_result).ValueUnsafe();
-  manager->writer_ = std::make_unique<LogWriter>(
-      manager->device_.get(), options.sync_every_n_commits,
-      options.io_max_retries, options.io_retry_backoff_us);
+  manager->writer_ = std::make_unique<LogWriter>(manager->device_.get());
   return manager;
 }
 

@@ -23,11 +23,6 @@ enum class LogFormat {
 struct LogManagerOptions {
   LogFormat format = LogFormat::kValue;
   BlockDeviceOptions device;
-  uint32_t sync_every_n_commits = 1;  // 1 = durable per commit; >1 = group
-  // I/O error handling: retries with exponential backoff before the
-  // writer gives up and degrades to read-only (see LogWriter).
-  uint32_t io_max_retries = 4;
-  uint32_t io_retry_backoff_us = 50;
   std::string log_path;
   std::string checkpoint_path;
 };

@@ -11,21 +11,23 @@
 namespace hyrise_nv::wal {
 
 namespace {
+constexpr uint32_t kIoMaxRetries = 4;
+constexpr uint64_t kIoRetryBackoffUs = 50;     // first retry's wait
 constexpr uint64_t kMaxBackoffUs = 1'000'000;  // 1s cap per attempt
 }  // namespace
 
 Status LogWriter::RetryIo(const char* what,
                           const std::function<Status()>& io) {
   Status status = io();
-  uint64_t backoff_us = io_retry_backoff_us_;
+  uint64_t backoff_us = kIoRetryBackoffUs;
   for (uint32_t attempt = 0;
        !status.ok() && status.code() == StatusCode::kIOError &&
-       attempt < io_max_retries_;
+       attempt < kIoMaxRetries;
        ++attempt) {
     io_retries_.fetch_add(1, std::memory_order_relaxed);
     HYRISE_NV_LOG(kWarn) << "wal: " << what << " failed ("
                          << status.ToString() << "), retry "
-                         << (attempt + 1) << "/" << io_max_retries_
+                         << (attempt + 1) << "/" << kIoMaxRetries
                          << " after " << backoff_us << "us";
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     backoff_us = std::min(backoff_us * 2, kMaxBackoffUs);
@@ -47,7 +49,7 @@ Status LogWriter::RetryIo(const char* what,
     (void)was_degraded;
 #endif
     HYRISE_NV_LOG(kError)
-        << "wal: " << what << " failed after " << io_max_retries_
+        << "wal: " << what << " failed after " << kIoMaxRetries
         << " retries (" << status.ToString()
         << "); entering degraded (read-only) mode";
   }
@@ -109,7 +111,13 @@ Status LogWriter::SyncDevice() {
   return status;
 }
 
-Status LogWriter::GroupCommit(const std::vector<uint8_t>& framed) {
+Status LogWriter::Commit(const LogRecord& commit_record) {
+  if (degraded()) {
+    return Status::IOError(
+        "log writer is degraded after unrecoverable I/O errors; "
+        "database is read-only");
+  }
+  const std::vector<uint8_t> framed = EncodeRecord(commit_record);
   std::unique_lock<std::mutex> lock(mutex_);
   buffer_.insert(buffer_.end(), framed.begin(), framed.end());
   const uint64_t my_seqno =
@@ -180,32 +188,6 @@ Status LogWriter::GroupCommit(const std::vector<uint8_t>& framed) {
   return status;
 }
 
-Status LogWriter::Commit(const LogRecord& commit_record) {
-  if (degraded()) {
-    return Status::IOError(
-        "log writer is degraded after unrecoverable I/O errors; "
-        "database is read-only");
-  }
-  if (sync_every_ == 1) {
-    return GroupCommit(EncodeRecord(commit_record));
-  }
-  // Lossy mode (sync every N-th commit): the window of the last < N
-  // commits is acceptable loss, so a plain flush under the lock is
-  // enough.
-  HYRISE_NV_RETURN_NOT_OK(Append(commit_record));
-  std::unique_lock<std::mutex> lock(mutex_);
-  group_cv_.wait(lock, [&] { return !leader_active_; });
-  HYRISE_NV_RETURN_NOT_OK(FlushLocked());
-  total_commits_.fetch_add(1, std::memory_order_relaxed);
-  if (++unsynced_commits_ >= sync_every_) {
-    HYRISE_NV_RETURN_NOT_OK(SyncDevice());
-    synced_commits_.store(total_commits_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    unsynced_commits_ = 0;
-  }
-  return Status::OK();
-}
-
 Status LogWriter::SyncNow() {
   std::unique_lock<std::mutex> lock(mutex_);
   group_cv_.wait(lock, [&] { return !leader_active_; });
@@ -213,7 +195,6 @@ Status LogWriter::SyncNow() {
   HYRISE_NV_RETURN_NOT_OK(SyncDevice());
   synced_commits_.store(total_commits_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
-  unsynced_commits_ = 0;
   return Status::OK();
 }
 

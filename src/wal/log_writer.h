@@ -16,48 +16,36 @@ namespace hyrise_nv::wal {
 
 /// Buffered WAL appender with group commit.
 ///
-/// Records accumulate in a volatile buffer. With `sync_every_n_commits`
-/// == 1 (the default durable mode) Commit() runs a leader/follower group
-/// commit: the first committer to reach the device becomes the leader,
-/// swaps the whole buffer out, and performs one append + fsync for every
-/// commit that joined the buffer meanwhile; followers block until a
-/// leader's sync covers their commit. Every acknowledged commit is
-/// synchronously durable, but concurrent committers share fsyncs instead
-/// of queueing one fsync each.
-///
-/// With N > 1 the writer instead models *lossy* group commit: only every
-/// N-th commit syncs, so the last < N commits may be lost in a crash —
-/// the log still never tears mid-record (framed CRCs make a torn tail
-/// detectable).
+/// Records accumulate in a volatile buffer. Commit() runs a
+/// leader/follower group commit: the first committer to reach the device
+/// becomes the leader, swaps the whole buffer out, and performs one
+/// append + fsync for every commit that joined the buffer meanwhile;
+/// followers block until a leader's sync covers their commit. Every
+/// acknowledged commit is synchronously durable, but concurrent
+/// committers share fsyncs instead of queueing one fsync each.
 ///
 /// I/O errors (EIO, short writes, failed fdatasync) are retried with
-/// exponential backoff up to `io_max_retries` times. If the device stays
-/// broken the writer enters degraded mode: every further durability
-/// request fails fast with an I/O error so the engine can flip to
-/// read-only instead of aborting the process or, worse, acknowledging
-/// commits it cannot make durable.
+/// exponential backoff up to 4 times. If the device stays broken the
+/// writer enters degraded mode: every further durability request fails
+/// fast with an I/O error so the engine can flip to read-only instead of
+/// aborting the process or, worse, acknowledging commits it cannot make
+/// durable.
 class LogWriter {
  public:
-  LogWriter(BlockDevice* device, uint32_t sync_every_n_commits,
-            uint32_t io_max_retries = 4, uint32_t io_retry_backoff_us = 50)
-      : device_(device),
-        sync_every_(sync_every_n_commits == 0 ? 1 : sync_every_n_commits),
-        io_max_retries_(io_max_retries),
-        io_retry_backoff_us_(
-            io_retry_backoff_us == 0 ? 1 : io_retry_backoff_us) {}
+  explicit LogWriter(BlockDevice* device) : device_(device) {}
 
   /// Buffers a non-commit record.
   Status Append(const LogRecord& record);
 
-  /// Buffers the commit record and makes it durable per the sync policy
-  /// (leader/follower group fsync when sync_every == 1). Thread-safe;
+  /// Buffers the commit record and makes it durable through the
+  /// leader/follower group fsync (see the class comment). Thread-safe;
   /// concurrent callers batch into shared fsyncs.
   Status Commit(const LogRecord& commit_record);
 
   /// Writes the buffer to the device (no sync).
   Status Flush();
 
-  /// Flush + sync, regardless of the group-commit counter.
+  /// Flush + sync of everything buffered.
   Status SyncNow();
 
   /// Total bytes appended so far (including still-buffered ones and a
@@ -67,9 +55,7 @@ class LogWriter {
            in_flight_bytes_.load(std::memory_order_relaxed);
   }
 
-  uint64_t synced_commits() const {
-    return synced_commits_.load(std::memory_order_relaxed);
-  }
+  /// Commit records handed to Commit() so far.
   uint64_t total_commits() const {
     return total_commits_.load(std::memory_order_relaxed);
   }
@@ -86,7 +72,7 @@ class LogWriter {
 
  private:
   /// Runs `io`, retrying transient I/O errors with exponential backoff
-  /// (io_retry_backoff_us, doubling, capped at ~1s per attempt). On
+  /// (50 us, doubling, capped at ~1s per attempt). On
   /// exhaustion marks the writer degraded and returns the last error.
   /// Non-I/O errors are returned immediately without retry. Touches only
   /// atomics — safe with or without mutex_ held.
@@ -100,14 +86,7 @@ class LogWriter {
   /// metrics. Same device-exclusivity requirement as FlushLocked.
   Status SyncDevice();
 
-  /// The sync_every_ == 1 leader/follower path (see class comment).
-  Status GroupCommit(const std::vector<uint8_t>& framed);
-
   BlockDevice* device_;
-  uint32_t sync_every_;
-  uint32_t io_max_retries_;
-  uint32_t io_retry_backoff_us_;
-  uint32_t unsynced_commits_ = 0;  // lossy path only; guarded by mutex_
   std::atomic<uint64_t> total_commits_{0};
   std::atomic<uint64_t> synced_commits_{0};
   std::atomic<bool> degraded_{false};

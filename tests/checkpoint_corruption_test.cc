@@ -155,7 +155,6 @@ TEST_F(WalCorruptionTest, CorruptCheckpointFallsBackToFullReplay) {
 
 TEST_F(WalCorruptionTest, NoCommittedTxnLostAcrossCrashPlusCorruptCkpt) {
   auto options = WalOptions("ckpt_crash_test");
-  options.group_commit_every = 1;  // every commit synced = durable
   auto db = std::move(Database::Create(options)).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
   for (int i = 0; i < 10; ++i) {
@@ -169,8 +168,8 @@ TEST_F(WalCorruptionTest, NoCommittedTxnLostAcrossCrashPlusCorruptCkpt) {
                                              Value(std::string("b"))})
                     .ok());
   }
-  // Power failure (unsynced tail dropped — empty here, sync_every=1),
-  // then the checkpoint file turns out to be damaged.
+  // Power failure (unsynced tail dropped — empty here: every commit
+  // syncs), then the checkpoint file turns out to be damaged.
   ASSERT_TRUE(db->log_manager()->device().SimulateCrash().ok());
   db.reset();
   const uint64_t ckpt_size = nvm::FileSize(options.CheckpointPath());

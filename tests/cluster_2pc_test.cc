@@ -41,6 +41,7 @@
 #include "cluster/decision_log.h"
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
+#include "common/fault_injection.h"
 #include "core/database.h"
 #include "net/client.h"
 #include "net/net_util.h"
@@ -414,6 +415,72 @@ TEST_P(Engine2pcOnDemandTest, InDoubtSurvivesCrashAndConvergesBothWays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WalModes, Engine2pcOnDemandTest,
+                         ::testing::Values(DurabilityMode::kWalValue,
+                                           DurabilityMode::kWalDict));
+
+/// A commit decision whose WAL group sync fails. The decide enters the
+/// commit path with the prepared slot; the failed hook re-seals that slot
+/// kPrepared instead of freeing it, so the transaction stays in doubt in
+/// the commit table as in the log, and the decision can be delivered again
+/// after a restart.
+class Engine2pcWalFaultTest : public Engine2pcTest {
+ protected:
+  void TearDown() override {
+    FaultInjector::Instance().DisarmAll();
+    Engine2pcTest::TearDown();
+  }
+
+  static size_t SlotsIn(Database* db, uint64_t state) {
+    size_t count = 0;
+    for (const txn::PCommitSlot& slot :
+         db->txn_manager().commit_table().block()->slots) {
+      if (slot.state == state) ++count;
+    }
+    return count;
+  }
+};
+
+TEST_P(Engine2pcWalFaultTest, FailedCommitDecisionStaysInDoubt) {
+  auto db_result = Database::Create(MakeOptions());
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto db = std::move(*db_result);
+  auto table_result = db->CreateTable(
+      "kv", *storage::Schema::Make(
+                {{"k", DataType::kInt64}, {"v", DataType::kString}}));
+  ASSERT_TRUE(table_result.ok());
+  auto tx = db->Begin();
+  ASSERT_TRUE(tx.ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(db->Insert(*tx, *table_result,
+                           {Value(int64_t{5}), Value(std::string("p"))})
+                    .ok());
+  }
+  const uint64_t gtid = (1ull << 32) | 30;
+  ASSERT_TRUE(db->Prepare(*tx, gtid).ok());
+
+  FaultInjector::Instance().Arm(FaultPoint::kWalSyncFail, FaultPlan{});
+  EXPECT_FALSE(db->Decide(gtid, /*commit=*/true).ok());
+  FaultInjector::Instance().DisarmAll();
+  EXPECT_EQ(db->InDoubtGtids(), std::vector<uint64_t>{gtid});
+  EXPECT_EQ(SlotsIn(db.get(), txn::PCommitSlot::kPrepared), 1u);
+  EXPECT_EQ(SlotsIn(db.get(), txn::PCommitSlot::kCommitting), 0u);
+  EXPECT_EQ(VisibleCount(db.get(), *table_result, 5), 0u);
+
+  auto recovered_result = Database::CrashAndRecover(std::move(db));
+  ASSERT_TRUE(recovered_result.ok())
+      << recovered_result.status().ToString();
+  auto recovered = std::move(*recovered_result);
+  auto rtable = recovered->GetTable("kv");
+  ASSERT_TRUE(rtable.ok());
+  EXPECT_EQ(recovered->InDoubtGtids(), std::vector<uint64_t>{gtid});
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 5), 0u);
+  ASSERT_TRUE(recovered->Decide(gtid, /*commit=*/true).ok());
+  EXPECT_TRUE(recovered->InDoubtGtids().empty());
+  EXPECT_EQ(VisibleCount(recovered.get(), *rtable, 5), 2u);
+  ASSERT_TRUE(recovered->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(WalModes, Engine2pcWalFaultTest,
                          ::testing::Values(DurabilityMode::kWalValue,
                                            DurabilityMode::kWalDict));
 

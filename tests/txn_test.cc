@@ -219,7 +219,7 @@ TEST_F(TxnTest, CommittedDataSurvivesCrashUncommittedDoesNot) {
   ASSERT_TRUE(catalog.ok());
   auto manager = TxnManager::Attach(*heap_);
   ASSERT_TRUE(manager.ok());
-  ASSERT_TRUE((*manager)->RecoverInFlight(**catalog).ok());
+  ASSERT_TRUE((*manager)->RecoverCommitSlots(**catalog).ok());
   ASSERT_TRUE((*catalog)->RepairAfterCrash().ok());
 
   storage::Table* table = *(*catalog)->GetTable("t");
@@ -253,7 +253,7 @@ TEST_F(TxnTest, CrashMidCommitRollsForward) {
   ASSERT_TRUE(catalog.ok());
   auto manager = TxnManager::Attach(*heap_);
   ASSERT_TRUE(manager.ok());
-  ASSERT_TRUE((*manager)->RecoverInFlight(**catalog).ok());
+  ASSERT_TRUE((*manager)->RecoverCommitSlots(**catalog).ok());
   ASSERT_TRUE((*catalog)->RepairAfterCrash().ok());
 
   storage::Table* table = *(*catalog)->GetTable("t");
@@ -263,6 +263,91 @@ TEST_F(TxnTest, CrashMidCommitRollsForward) {
             1u)
       << "in-flight commit must be completed";
   EXPECT_EQ(table->mvcc(*loc)->begin, cid);
+}
+
+// Crash inside the restart's own roll-forward. A sealed commit of four
+// touches (three inserts and the delete of a committed row) crashes
+// before any stamp; the first restart is cut at fence `cut`, its cut
+// epoch torn by `torn`; a second restart then runs clean. The roll-forward
+// frees the slot only after the stamps and the watermark are durable, so
+// wherever the cut lands the second restart finishes the commit: every
+// stamp holds, the watermark covers the CID, every slot is free.
+TEST(TxnRestartTest, RollForwardSurvivesACrashInsideItself) {
+  struct Engine {
+    std::unique_ptr<storage::Catalog> catalog;
+    std::unique_ptr<TxnManager> manager;
+  };
+  const auto restart = [](alloc::PHeap& heap) {
+    alloc::PAllocator allocator(heap.region());
+    EXPECT_TRUE(allocator.Recover().ok());
+    Engine engine;
+    engine.catalog = storage::Catalog::Attach(heap).ValueUnsafe();
+    engine.manager = TxnManager::Attach(heap).ValueUnsafe();
+    EXPECT_TRUE(engine.manager->RecoverCommitSlots(*engine.catalog).ok());
+    EXPECT_TRUE(engine.catalog->RepairAfterCrash().ok());
+    return engine;
+  };
+  const auto schema = *storage::Schema::Make({{"k", DataType::kInt64}});
+  uint64_t uncut_runs = 0;
+  for (uint64_t cut = 0; cut < 24; ++cut) {
+    for (const uint64_t torn : {0, 1, 2, 5, 7}) {
+      SCOPED_TRACE("cut " + std::to_string(cut) + " torn mask " +
+                   std::to_string(torn));
+      nvm::PmemRegionOptions opts;
+      opts.tracking = nvm::TrackingMode::kShadow;
+      auto heap = alloc::PHeap::Create(4 << 20, opts).ValueUnsafe();
+      auto catalog = storage::Catalog::Format(*heap).ValueUnsafe();
+      auto manager = TxnManager::Format(*heap).ValueUnsafe();
+      storage::Table* table = *catalog->CreateTable("t", schema);
+
+      auto setup = *manager->Begin();
+      const RowLocation old_row = *table->AppendRow({Value(int64_t{0})},
+                                                    setup.tid());
+      setup.RecordInsert(table, old_row);
+      ASSERT_TRUE(manager->Commit(setup).ok());
+
+      auto tx = *manager->Begin();
+      std::vector<RowLocation> inserted;
+      for (int64_t k = 1; k <= 3; ++k) {
+        inserted.push_back(*table->AppendRow({Value(k)}, tx.tid()));
+        tx.RecordInsert(table, inserted.back());
+      }
+      ASSERT_TRUE(storage::ClaimForInvalidate(
+                      heap->region(), table->mvcc(old_row), tx.tid(),
+                      [&](storage::Tid t) { return manager->IsActive(t); })
+                      .ok());
+      tx.RecordInvalidate(table, old_row);
+      std::vector<TouchEntry> touches;
+      for (const Write& write : tx.writes()) {
+        touches.push_back(
+            TouchEntry::Make(table->id(), write.loc, write.invalidate));
+      }
+      const storage::Cid cid = *manager->commit_table().ClaimCidBlock();
+      auto slot = manager->commit_table().AcquireSlot(touches);
+      ASSERT_TRUE(slot.ok());
+      manager->commit_table().SealSlot(*slot, cid);
+      ASSERT_TRUE(heap->region().SimulateCrash().ok());
+
+      heap->region().FreezeShadowAfterFences(cut, torn);
+      restart(*heap);
+      if (!heap->region().shadow_frozen()) ++uncut_runs;
+      ASSERT_TRUE(heap->region().SimulateCrash().ok());
+      Engine engine = restart(*heap);
+
+      storage::Table* rtable = *engine.catalog->GetTable("t");
+      for (const RowLocation& loc : inserted) {
+        EXPECT_EQ(rtable->mvcc(loc)->begin, cid) << "row " << loc.row;
+        EXPECT_EQ(rtable->mvcc(loc)->tid, storage::kTidNone);
+      }
+      EXPECT_EQ(rtable->mvcc(old_row)->end, cid);
+      EXPECT_EQ(rtable->mvcc(old_row)->tid, storage::kTidNone);
+      EXPECT_GE(engine.manager->watermark(), cid);
+      for (const PCommitSlot& s : engine.manager->commit_table().block()->slots) {
+        EXPECT_EQ(s.state, PCommitSlot::kFree);
+      }
+    }
+  }
+  EXPECT_GT(uncut_runs, 0u) << "no cut lay past the first restart";
 }
 
 TEST_F(TxnTest, TidsNeverReusedAcrossRestart) {

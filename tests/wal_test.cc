@@ -131,29 +131,12 @@ TEST(LogRecordTest, EmptyAndZeroFrameAreCleanEnd) {
       DecodeRecord(zeros, sizeof(zeros), &consumed).status().IsNotFound());
 }
 
-TEST(LogWriterTest, GroupCommitSyncPolicy) {
-  const std::string path = nvm::TempPath("log_writer_test");
-  auto device_result = BlockDevice::Create(path, BlockDeviceOptions{});
-  ASSERT_TRUE(device_result.ok());
-  auto& device = **device_result;
-  LogWriter writer(&device, /*sync_every_n_commits=*/3);
-
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(writer.Commit(LogRecord::Commit(i, i + 1)).ok());
-  }
-  EXPECT_EQ(device.durable_size(), 0u) << "no sync before the 3rd commit";
-  ASSERT_TRUE(writer.Commit(LogRecord::Commit(2, 3)).ok());
-  EXPECT_EQ(device.durable_size(), device.size());
-  EXPECT_EQ(writer.synced_commits(), 3u);
-  nvm::RemoveFileIfExists(path);
-}
-
 TEST(LogReaderTest, ScanWithTornTail) {
   const std::string path = nvm::TempPath("log_reader_test");
   auto device_result = BlockDevice::Create(path, BlockDeviceOptions{});
   ASSERT_TRUE(device_result.ok());
   auto& device = **device_result;
-  LogWriter writer(&device, 1);
+  LogWriter writer(&device);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(writer.Append(LogRecord::Commit(i, i + 1)).ok());
   }

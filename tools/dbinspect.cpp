@@ -40,6 +40,7 @@
 
 #include "alloc/pheap.h"
 #include "alloc/region_header.h"
+#include "common/json.h"
 #include "index/index_set.h"
 #include "obs/blackbox.h"
 #include "obs/metrics.h"
@@ -317,25 +318,6 @@ void PrintUsage(const char* prog) {
                prog, prog, prog, prog);
 }
 
-/// JSON string escape for the image block (paths, root names).
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 enum class StatsFormat { kText, kJson, kPrometheus };
 
 /// Whether walking catalog/table structures of this image is safe. A
@@ -393,7 +375,7 @@ int RunStats(const std::string& image_path, StatsFormat format) {
           ",\"format_version\":%u,\"clean_shutdown\":%s,"
           "\"heap_used_bytes\":%" PRIu64 ",\"tables\":%zu},"
           "\"metrics\":%s}\n",
-          JsonQuote(image_path).c_str(),
+          common::JsonQuote(image_path).c_str(),
           static_cast<uint64_t>(heap->region().size()),
           header->format_version,
           heap->was_clean_shutdown() ? "true" : "false",

@@ -92,6 +92,9 @@ int Usage() {
 
 int main(int argc, char** argv) {
   core::DatabaseOptions db_options;
+  // A served image restarts by a real kill, never SimulateCrash: a shadow
+  // copy would only double the image in memory and copy it at each open.
+  db_options.tracking = nvm::TrackingMode::kNone;
   net::ServerOptions server_options;
   server_options.port = 5543;
   bool create = false;
