@@ -3,7 +3,9 @@
 // data); instant restart splits into map + in-flight fixup + volatile
 // attach (none scale with data). All numbers come from the recovery
 // span trace the engine records (RecoveryReport::trace), not from
-// stopwatches in this benchmark.
+// stopwatches in this benchmark. `open_persists` counts the persist
+// calls the open made: a log open builds a fresh heap, so that count is
+// exact for a given log (the open runs on one thread).
 
 #include <cstdio>
 
@@ -15,10 +17,13 @@ using namespace hyrise_nv;  // NOLINT: benchmark brevity
 
 namespace {
 
-std::unique_ptr<core::Database> BuildAndCrash(core::DurabilityMode mode,
-                                              uint64_t rows,
-                                              const std::string& dir,
-                                              bool with_checkpoint) {
+struct Recovered {
+  std::unique_ptr<core::Database> db;
+  uint64_t open_persists = 0;
+};
+
+Recovered BuildAndCrash(core::DurabilityMode mode, uint64_t rows,
+                        const std::string& dir, bool with_checkpoint) {
   auto options = bench::EngineOptions(mode, dir, size_t{512} << 20);
   auto db = bench::Unwrap(core::Database::Create(options), "create");
   workload::EnterpriseConfig config;
@@ -46,8 +51,16 @@ std::unique_ptr<core::Database> BuildAndCrash(core::DurabilityMode mode,
     }
     bench::Die(db->Commit(tx), "tail commit");
   }
-  return bench::Unwrap(core::Database::CrashAndRecover(std::move(db)),
-                       "recover");
+  // An NVM restart keeps its heap; a log open starts a fresh one.
+  const uint64_t before = mode == core::DurabilityMode::kNvm
+                              ? db->nvm_stats().persist_calls.load()
+                              : 0;
+  Recovered recovered;
+  recovered.db = bench::Unwrap(
+      core::Database::CrashAndRecover(std::move(db)), "recover");
+  recovered.open_persists =
+      recovered.db->nvm_stats().persist_calls.load() - before;
+  return recovered;
 }
 
 /// Seconds of a named span in the recovery trace (0 when the phase did
@@ -57,18 +70,21 @@ double Phase(const obs::SpanNode& trace, const char* name) {
   return span != nullptr ? span->seconds : 0;
 }
 
-void PrintJson(const char* config, const obs::SpanNode& trace,
-               uint64_t replayed_records) {
+void PrintJson(const char* config, const Recovered& recovered) {
+  const obs::SpanNode& trace = recovered.db->last_recovery_report().trace;
   std::printf(
       "BENCH_JSON {\"bench\":\"e5\",\"config\":\"%s\","
       "\"total_ms\":%.3f,\"checkpoint_load_ms\":%.3f,\"replay_ms\":%.3f,"
       "\"index_rebuild_ms\":%.3f,\"map_ms\":%.3f,\"fixup_ms\":%.3f,"
-      "\"attach_ms\":%.3f,\"replayed_records\":%llu}\n",
+      "\"attach_ms\":%.3f,\"replayed_records\":%llu,"
+      "\"open_persists\":%llu}\n",
       config, trace.seconds * 1e3, Phase(trace, "checkpoint_load") * 1e3,
       Phase(trace, "replay") * 1e3, Phase(trace, "index_rebuild") * 1e3,
       Phase(trace, "map") * 1e3, Phase(trace, "fixup") * 1e3,
       Phase(trace, "attach") * 1e3,
-      static_cast<unsigned long long>(replayed_records));
+      static_cast<unsigned long long>(
+          recovered.db->last_recovery_report().log.replayed_records),
+      static_cast<unsigned long long>(recovered.open_persists));
 }
 
 }  // namespace
@@ -81,44 +97,44 @@ int main() {
   // Log engine, checkpoint + tail replay.
   {
     const std::string dir = bench::MakeBenchDir("e5");
-    auto db = BuildAndCrash(core::DurabilityMode::kWalValue, rows, dir,
-                            /*with_checkpoint=*/true);
-    const auto& report = db->last_recovery_report();
+    const Recovered recovered =
+        BuildAndCrash(core::DurabilityMode::kWalValue, rows, dir,
+                      /*with_checkpoint=*/true);
+    const auto& report = recovered.db->last_recovery_report();
     std::printf("log-based (checkpoint at 50%% of data), %llu records "
                 "replayed:\n%s",
                 static_cast<unsigned long long>(
                     report.log.replayed_records),
                 report.trace.Render().c_str());
-    PrintJson("wal-checkpoint", report.trace,
-              report.log.replayed_records);
+    PrintJson("wal-checkpoint", recovered);
     bench::RemoveBenchDir(dir);
   }
 
   // Log engine without a checkpoint (pure replay).
   {
     const std::string dir = bench::MakeBenchDir("e5");
-    auto db = BuildAndCrash(core::DurabilityMode::kWalValue, rows, dir,
-                            /*with_checkpoint=*/false);
-    const auto& report = db->last_recovery_report();
+    const Recovered recovered =
+        BuildAndCrash(core::DurabilityMode::kWalValue, rows, dir,
+                      /*with_checkpoint=*/false);
+    const auto& report = recovered.db->last_recovery_report();
     std::printf("\nlog-based (no checkpoint, full replay), %llu records "
                 "replayed:\n%s",
                 static_cast<unsigned long long>(
                     report.log.replayed_records),
                 report.trace.Render().c_str());
-    PrintJson("wal-full-replay", report.trace,
-              report.log.replayed_records);
+    PrintJson("wal-full-replay", recovered);
     bench::RemoveBenchDir(dir);
   }
 
   // Instant restart.
   {
     const std::string dir = bench::MakeBenchDir("e5");
-    auto db = BuildAndCrash(core::DurabilityMode::kNvm, rows, dir,
-                            /*with_checkpoint=*/false);
-    const auto& report = db->last_recovery_report();
+    const Recovered recovered =
+        BuildAndCrash(core::DurabilityMode::kNvm, rows, dir,
+                      /*with_checkpoint=*/false);
     std::printf("\nhyrise-nv (instant restart):\n%s",
-                report.trace.Render().c_str());
-    PrintJson("nvm-instant-restart", report.trace, 0);
+                recovered.db->last_recovery_report().trace.Render().c_str());
+    PrintJson("nvm-instant-restart", recovered);
     bench::RemoveBenchDir(dir);
   }
 

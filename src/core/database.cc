@@ -285,7 +285,7 @@ Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
   } else {
     tracer.Begin("restore");
     for (recovery::TablePending& pending : index.tables) {
-      for (uint32_t row = 0; row < pending.rows.size(); ++row) {
+      for (uint32_t row = 0; row < pending.row_count; ++row) {
         HYRISE_NV_RETURN_NOT_OK(recovery::RestorePendingRow(pending, row));
       }
     }
@@ -303,22 +303,24 @@ Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
     HYRISE_NV_RETURN_NOT_OK(BuildDeferredIndexes());
     report.index_rebuild_seconds = tracer.End();
   }
-  tracer.End();
   recovery_.mode = options_.mode;
   recovery_.recovered = true;
   recovery_.log = report;
-  HYRISE_NV_RETURN_NOT_OK(AdoptInDoubt(report, *catalog_, *txn_manager_));
   if (degraded) {
     // Serve-during-recovery: reads restore the rows they touch, and the
     // drain (started once the database is live) restores the rest and
-    // then builds the deferred indexes.
+    // then builds the deferred indexes. The driver's key maps, which let
+    // a point read restore only its key's rows, are built here.
     recovery::RecoveryDriverOptions driver_options;
     driver_options.drain_chunk_rows = options_.drain_chunk_rows;
     driver_options.drain_pause_us = options_.drain_pause_us;
+    tracer.Begin("build_key_maps");
     recovery_driver_ = std::make_unique<recovery::RecoveryDriver>(
         *heap_, std::move(index), driver_options);
+    tracer.End();
   }
-  return Status::OK();
+  tracer.End();
+  return AdoptInDoubt(recovery_.log, *catalog_, *txn_manager_);
 }
 
 Result<recovery::VerifyReport> Database::VerifyImage(

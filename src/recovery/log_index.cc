@@ -15,12 +15,14 @@ namespace {
 using storage::Cid;
 using storage::Tid;
 
-/// Mutable per-table accumulation during the scan: the pending payloads
-/// plus the staged MVCC entries (deletes fold into these before the
-/// placeholder rows are appended in one bulk step at the end).
+/// Mutable per-table accumulation during the scan: the pending ids, the
+/// staged MVCC entries (deletes fold into these before the placeholder
+/// rows are appended in one bulk step at the end), and one dictionary
+/// stage per column, published in the same step.
 struct StagedTable {
   TablePending pending;
   std::vector<storage::MvccEntry> mvcc;
+  std::vector<storage::DictionaryStage> dicts;
 };
 
 /// Records the checkpoint-fallback decision (blackbox event + metric) so
@@ -88,28 +90,33 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
   std::unordered_map<Tid, uint64_t> prepared;  // tid -> gtid
   Cid max_cid = 0;
   Tid max_tid = 0;
+  wal::LogReader reader(&device);
   tracer.Begin("scan_commits");
+  tracer.Begin("read_log");
+  HYRISE_NV_RETURN_NOT_OK(reader.Load(offset));
+  tracer.End();
   {
-    wal::LogReader reader(&device);
-    auto scan = reader.ForEach(
-        offset, [&](const wal::LogRecord& record) -> Status {
-          max_tid = std::max(max_tid, record.tid);
-          if (record.type == wal::RecordType::kCommit) {
-            committed.emplace(record.tid, record.cid);
-            prepared.erase(record.tid);
-            max_cid = std::max(max_cid, record.cid);
-          } else if (record.type == wal::RecordType::kAbort) {
-            prepared.erase(record.tid);
-          } else if (record.type == wal::RecordType::kPrepare) {
-            prepared.emplace(record.tid, record.gtid);
-          }
-          return Status::OK();
-        });
+    auto scan = reader.ForEachFrame([&](const wal::LogFrame& frame) -> Status {
+      HYRISE_NV_ASSIGN_OR_RETURN(const wal::RecordHeader record,
+                                 wal::DecodeRecordHeader(frame));
+      max_tid = std::max(max_tid, record.tid);
+      if (record.type == wal::RecordType::kCommit) {
+        committed.emplace(record.tid, record.cid);
+        prepared.erase(record.tid);
+        max_cid = std::max(max_cid, record.cid);
+      } else if (record.type == wal::RecordType::kAbort) {
+        prepared.erase(record.tid);
+      } else if (record.type == wal::RecordType::kPrepare) {
+        prepared.emplace(record.tid, record.gtid);
+      }
+      return Status::OK();
+    });
     if (!scan.ok()) return scan.status();
   }
   tracer.End();
 
-  // Pass two: apply DDL, dictionary adds and MVCC state, stage inserts.
+  // Pass two: apply DDL and MVCC state, stage dictionary values and
+  // inserts.
   tracer.Begin("apply");
   auto& region = heap.region();
   std::vector<StagedTable> staged;
@@ -126,18 +133,23 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
     // Placeholders are only appended after the scan, so the current
     // delta row count stays the staging base for the whole pass.
     entry.pending.base_delta_rows = (*table)->delta_row_count();
+    const size_t columns = (*table)->schema().num_columns();
+    entry.dicts.reserve(columns);
+    for (size_t c = 0; c < columns; ++c) {
+      entry.dicts.emplace_back(&(*table)->delta().column(c).dictionary());
+    }
     return &entry;
   };
   // Write sets of in-doubt transactions, rebuilt in log order so a later
   // decide-commit stamps exactly what the prepare covered.
   std::unordered_map<Tid, std::vector<LogRecoveryReport::InDoubtWrite>>
       in_doubt_writes;
-  // Stages one logged insert. Its MVCC entry is final up front: a
-  // committed insert carries its begin stamp; any other stays invisible
-  // (begin = ∞) under its writer's claim, and an in-doubt one joins its
-  // transaction's write set at the row its placeholder will occupy.
-  auto stage = [&](StagedTable& entry, const wal::LogRecord& record,
-                   std::vector<storage::ValueId> ids) {
+  // Stages one logged insert whose ids the caller appended. Its MVCC
+  // entry is final up front: a committed insert carries its begin stamp;
+  // any other stays invisible (begin = ∞) under its writer's claim, and
+  // an in-doubt one joins its transaction's write set at the row its
+  // placeholder will occupy.
+  auto stage = [&](StagedTable& entry, const wal::LogRecord& record) {
     storage::MvccEntry mvcc;
     mvcc.begin = storage::kCidInfinity;
     mvcc.end = storage::kCidInfinity;
@@ -152,63 +164,55 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
       in_doubt_writes[record.tid].push_back({record.table_id, loc, false});
     }
     entry.mvcc.push_back(mvcc);
-    entry.pending.rows.push_back(PendingRow{std::move(ids)});
+    ++entry.pending.row_count;
   };
 
-  wal::LogReader reader(&device);
   auto apply = [&](const wal::LogRecord& record) -> Status {
     switch (record.type) {
       case wal::RecordType::kInsert: {
         HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
                                    staged_for(record.table_id));
-        storage::Table* table = entry->pending.table;
-        if (record.values.size() != table->schema().num_columns()) {
+        if (record.values.size() != entry->dicts.size()) {
           return Status::Corruption("logged insert arity mismatch");
         }
-        // Encode now, while analysis is single-threaded: GetOrInsert in
-        // log order builds the same dictionaries the live engine did, and
-        // after this pass they are read-only until every row is restored
-        // — restores become plain cell stores.
-        std::vector<storage::ValueId> ids;
-        ids.reserve(record.values.size());
+        // Encode now, while analysis is single-threaded: staging in log
+        // order hands out the ids the live engine assigned, and the
+        // stages publish before anything reads the dictionaries.
         for (size_t c = 0; c < record.values.size(); ++c) {
-          auto id = table->delta().column(c).dictionary().GetOrInsert(
-              record.values[c]);
-          if (!id.ok()) return id.status();
-          ids.push_back(*id);
+          HYRISE_NV_ASSIGN_OR_RETURN(
+              const storage::ValueId id,
+              entry->dicts[c].GetOrInsert(record.values[c]));
+          entry->pending.ids.push_back(id);
         }
-        stage(*entry, record, std::move(ids));
+        stage(*entry, record);
         break;
       }
       case wal::RecordType::kInsertEncoded: {
         HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
                                    staged_for(record.table_id));
-        storage::Table* table = entry->pending.table;
-        if (record.value_ids.size() != table->schema().num_columns()) {
+        if (record.value_ids.size() != entry->dicts.size()) {
           return Status::InvalidArgument("encoded row arity mismatch");
         }
         for (size_t c = 0; c < record.value_ids.size(); ++c) {
           // Dictionary adds precede the inserts that use them in the
-          // log and are applied eagerly, so the bound is already final.
-          if (record.value_ids[c] >=
-              table->delta().column(c).dictionary().size()) {
+          // log, so the staged size is already the bound.
+          if (record.value_ids[c] >= entry->dicts[c].size()) {
             return Status::Corruption("encoded id beyond dictionary");
           }
         }
-        stage(*entry, record, record.value_ids);
+        entry->pending.ids.insert(entry->pending.ids.end(),
+                                  record.value_ids.begin(),
+                                  record.value_ids.end());
+        stage(*entry, record);
         break;
       }
       case wal::RecordType::kDictAdd: {
-        auto table = catalog.GetTableById(record.table_id);
-        if (!table.ok()) return table.status();
-        if (record.column >= (*table)->schema().num_columns()) {
+        HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
+                                   staged_for(record.table_id));
+        if (record.column >= entry->dicts.size()) {
           return Status::Corruption("dict-add column out of range");
         }
-        auto id = (*table)
-                      ->delta()
-                      .column(record.column)
-                      .dictionary()
-                      .GetOrInsert(record.dict_value);
+        auto id = entry->dicts[record.column].GetOrInsert(record.dict_value);
         if (!id.ok()) return id.status();
         break;
       }
@@ -278,17 +282,26 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
     }
     return Status::OK();
   };
-  HYRISE_NV_ASSIGN_OR_RETURN(report.replayed_records,
-                             reader.ForEach(offset, apply));
+  HYRISE_NV_ASSIGN_OR_RETURN(
+      report.replayed_records,
+      reader.ForEachFrame([&](const wal::LogFrame& frame) -> Status {
+        HYRISE_NV_ASSIGN_OR_RETURN(const wal::LogRecord record,
+                                   wal::DecodeRecordBody(frame));
+        return apply(record);
+      }));
   tracer.End();
 
-  // Append the staged placeholder rows.
+  // Publish the staged dictionary values, then append the staged
+  // placeholder rows that reference them.
   tracer.Begin("reserve");
   for (StagedTable& entry : staged) {
-    if (entry.pending.rows.empty()) continue;
+    for (storage::DictionaryStage& dict : entry.dicts) {
+      HYRISE_NV_RETURN_NOT_OK(dict.Publish());
+    }
+    if (entry.pending.row_count == 0) continue;
     HYRISE_NV_RETURN_NOT_OK(
         entry.pending.table->ReservePlaceholderRows(entry.mvcc));
-    report.deferred_rows += entry.pending.rows.size();
+    report.deferred_rows += entry.pending.row_count;
     index.tables.push_back(std::move(entry.pending));
   }
   tracer.End();
@@ -313,19 +326,16 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
 }
 
 Status RestorePendingRow(TablePending& pending, uint32_t ordinal) {
-  PendingRow& row = pending.rows[ordinal];
   storage::Table* table = pending.table;
   const uint64_t delta_row = pending.base_delta_rows + ordinal;
   const size_t columns = table->schema().num_columns();
+  const storage::ValueId* ids = pending.ids.data() + ordinal * columns;
   for (size_t c = 0; c < columns; ++c) {
     HYRISE_NV_RETURN_NOT_OK(
-        table->delta().column(c).RestoreEncodedAt(delta_row, row.ids[c]));
+        table->delta().column(c).RestoreEncodedAt(delta_row, ids[c]));
   }
   // One fence for the row's flushed cells.
   table->heap().region().Fence();
-  // The payload is applied; free it.
-  row.ids.clear();
-  row.ids.shrink_to_fit();
   return Status::OK();
 }
 

@@ -24,16 +24,17 @@ RecoveryDriver::RecoveryDriver(alloc::PHeap& heap, LogIndex index,
   for (TablePending& pending : index.tables) {
     auto state = std::make_unique<TableState>();
     state->pending = std::move(pending);
-    const size_t n = state->pending.rows.size();
+    const uint64_t n = state->pending.row_count;
     const storage::Table& table = *state->pending.table;
+    const size_t columns = table.schema().num_columns();
     std::set<uint32_t>& cols = key_columns[table.name()];
     if (cols.empty()) cols.insert(0);
     for (uint32_t col : cols) {
-      if (col >= table.schema().num_columns()) continue;
+      if (col >= columns) continue;
       auto& key_map = state->key_maps[col];
       const auto& dict = table.delta().column(col).dictionary();
       for (uint32_t ordinal = 0; ordinal < n; ++ordinal) {
-        key_map[dict.GetValue(state->pending.rows[ordinal].ids[col])]
+        key_map[dict.GetValue(state->pending.ids[ordinal * columns + col])]
             .push_back(ordinal);
       }
     }
@@ -88,12 +89,16 @@ Status RecoveryDriver::RestoreRowLocked(TableState& state, uint32_t ordinal,
   }
   // A pure attribute-cell store that never grows a dictionary, which is
   // what keeps concurrent degraded readers safe on the dictionary
-  // vectors. The key maps hold ordinals only, so the payload can go.
+  // vectors.
   HYRISE_NV_RETURN_NOT_OK(RestorePendingRow(state.pending, ordinal));
   state.restored[ordinal].store(1, std::memory_order_relaxed);
   // Release: the all-restored fast path's acquire load of these counters
   // must observe the value writes above without taking the mutex.
-  state.restored_count.fetch_add(1, std::memory_order_release);
+  if (state.restored_count.fetch_add(1, std::memory_order_release) + 1 ==
+      state.pending.row_count) {
+    // The key maps hold ordinals only, so the payload can go.
+    std::vector<storage::ValueId>().swap(state.pending.ids);
+  }
   restored_rows_.fetch_add(1, std::memory_order_release);
   if (on_demand) {
     obs::MetricsRegistry::Instance()
@@ -107,7 +112,7 @@ Status RecoveryDriver::RestoreRowLocked(TableState& state, uint32_t ordinal,
 
 Status RecoveryDriver::RestoreAllRowsLocked(TableState& state,
                                             bool on_demand) {
-  const uint64_t total = state.pending.rows.size();
+  const uint64_t total = state.pending.row_count;
   for (uint64_t ordinal = 0; ordinal < total; ++ordinal) {
     HYRISE_NV_RETURN_NOT_OK(
         RestoreRowLocked(state, static_cast<uint32_t>(ordinal), on_demand));
@@ -120,7 +125,7 @@ Status RecoveryDriver::PrepareScanEqual(storage::Table* table, size_t column,
   TableState* state = Find(table);
   if (state == nullptr) return Status::OK();
   if (state->restored_count.load(std::memory_order_acquire) ==
-      state->pending.rows.size()) {
+      state->pending.row_count) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> guard(table->write_mutex());
@@ -143,7 +148,7 @@ Status RecoveryDriver::PrepareScanRange(storage::Table* table, size_t column,
   TableState* state = Find(table);
   if (state == nullptr) return Status::OK();
   if (state->restored_count.load(std::memory_order_acquire) ==
-      state->pending.rows.size()) {
+      state->pending.row_count) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> guard(table->write_mutex());
@@ -168,7 +173,7 @@ Status RecoveryDriver::RestoreTable(storage::Table* table) {
   TableState* state = Find(table);
   if (state == nullptr) return Status::OK();
   if (state->restored_count.load(std::memory_order_acquire) ==
-      state->pending.rows.size()) {
+      state->pending.row_count) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> guard(table->write_mutex());
@@ -184,7 +189,7 @@ void RecoveryDriver::PublishProgressGauge() {
 void RecoveryDriver::DrainLoop() {
   const uint64_t start_ticks = obs::FastClock::NowTicks();
   for (auto& state : states_) {
-    const uint64_t total = state->pending.rows.size();
+    const uint64_t total = state->pending.row_count;
     uint64_t cursor = 0;
     while (cursor < total) {
       if (stop_.load(std::memory_order_acquire)) return;

@@ -1,5 +1,6 @@
 #include "storage/dictionary.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
@@ -400,9 +401,13 @@ Result<ValueId> DeltaDictionary::GetOrInsert(const Value& value) {
 
 ValueId DeltaDictionary::Lookup(const Value& value) const {
   const Key key = KeyOf(value);
+  return Find(key, HashOf(key));
+}
+
+ValueId DeltaDictionary::Find(const Key& key, uint64_t hash) const {
   const PDictTable* table = LiveTable();
   if (table != nullptr) {
-    const ValueId found = Probe(table, key, HashOf(key), nullptr);
+    const ValueId found = Probe(table, key, hash, nullptr);
     if (found != kInvalidValueId) return found;
   }
   // Ids Attach found missing (none once Repair ran) are compared directly.
@@ -423,6 +428,98 @@ Value DeltaDictionary::GetValue(ValueId id) const {
     return Value(std::string(BlobRead(blob_, values_.Get(id))));
   }
   return DecodeNumeric(values_.Get(id), type_);
+}
+
+// ---------------------------------------------------------------------------
+// DictionaryStage
+
+namespace {
+
+/// Smallest staging table, in slots.
+constexpr uint64_t kMinStageSlots = 64;
+
+}  // namespace
+
+DictionaryStage::DictionaryStage(DeltaDictionary* dict)
+    : dict_(dict), base_size_(dict->size()), base_blob_(dict->blob_.size()) {}
+
+bool DictionaryStage::Matches(uint64_t staged,
+                              const DeltaDictionary::Key& key) const {
+  if (dict_->type() != DataType::kString) return values_[staged] == key.bits;
+  const char* entry = blob_.data() + (values_[staged] - base_blob_);
+  uint32_t len = 0;
+  std::memcpy(&len, entry, 4);
+  return std::string_view(entry + 4, len) == key.text;
+}
+
+void DictionaryStage::Grow() {
+  std::vector<Slot> slots(std::max(kMinStageSlots, slots_.size() * 2));
+  const uint64_t mask = slots.size() - 1;
+  for (const Slot slot : slots_) {
+    if (slot == 0) continue;
+    uint64_t pos = (slot >> 32) & mask;
+    while (slots[pos] != 0) pos = (pos + 1) & mask;
+    slots[pos] = slot;
+  }
+  slots_.swap(slots);
+}
+
+Result<ValueId> DictionaryStage::GetOrInsert(const Value& value) {
+  if (!ValueMatchesType(value, dict_->type())) {
+    return Status::Corruption("value does not match its column type");
+  }
+  const DeltaDictionary::Key key = dict_->KeyOf(value);
+  const uint64_t hash = dict_->HashOf(key);
+  if (base_size_ > 0) {
+    const ValueId found = dict_->Find(key, hash);
+    if (found != kInvalidValueId) return found;
+  }
+  if ((values_.size() + 1) * 4 > slots_.size() * 3) Grow();
+  const uint64_t tag = hash >> 32;
+  const uint64_t mask = slots_.size() - 1;
+  uint64_t pos = tag & mask;
+  for (; slots_[pos] != 0; pos = (pos + 1) & mask) {
+    const Slot slot = slots_[pos];
+    const uint64_t staged = (slot & UINT32_MAX) - 1;
+    if (slot >> 32 == tag && Matches(staged, key)) {
+      return static_cast<ValueId>(base_size_ + staged);
+    }
+  }
+  const uint64_t staged = values_.size();
+  if (base_size_ + staged >= kInvalidValueId) {
+    return Status::OutOfMemory("dictionary full");
+  }
+  uint64_t stored = key.bits;
+  if (dict_->type() == DataType::kString) {
+    if (key.text.size() > UINT32_MAX) {
+      return Status::InvalidArgument("string too long");
+    }
+    stored = base_blob_ + blob_.size();
+    const auto len = static_cast<uint32_t>(key.text.size());
+    const auto* len_bytes = reinterpret_cast<const char*>(&len);
+    blob_.insert(blob_.end(), len_bytes, len_bytes + 4);
+    blob_.insert(blob_.end(), key.text.begin(), key.text.end());
+  }
+  values_.push_back(stored);
+  slots_[pos] = tag << 32 | (staged + 1);
+  return static_cast<ValueId>(base_size_ + staged);
+}
+
+Status DictionaryStage::Publish() {
+  if (values_.empty()) return Status::OK();
+  if (dict_->size() != base_size_ || dict_->blob_.size() != base_blob_) {
+    return Status::Internal("delta dictionary changed under its stage");
+  }
+  // The blob first: the value vector's size bump publishes the ids.
+  HYRISE_NV_RETURN_NOT_OK(dict_->blob_.BulkAppend(blob_.data(), blob_.size()));
+  HYRISE_NV_RETURN_NOT_OK(
+      dict_->values_.BulkAppend(values_.data(), values_.size()));
+  base_size_ = dict_->size();
+  base_blob_ = dict_->blob_.size();
+  std::vector<uint64_t>().swap(values_);
+  std::vector<char>().swap(blob_);
+  std::vector<Slot>().swap(slots_);
+  return dict_->Repair();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "alloc/pvector.h"
 #include "common/status.h"
@@ -98,6 +99,8 @@ class DeltaDictionary {
   uint64_t table_slots() const;
 
  private:
+  friend class DictionaryStage;
+
   /// A value in the form the dictionary stores it.
   struct Key {
     uint64_t bits = 0;       // numeric columns
@@ -108,6 +111,9 @@ class DeltaDictionary {
   Key KeyOfId(ValueId id) const;
   uint64_t HashOf(const Key& key) const;
   bool Matches(ValueId id, const Key& key) const;
+
+  /// Lookup of a key whose hash the caller already has.
+  ValueId Find(const Key& key, uint64_t hash) const;
 
   PDictTable* TableAt(uint64_t offset) const;
   PDictTable* LiveTable() const;
@@ -138,6 +144,52 @@ class DeltaDictionary {
   /// Ids [0, indexed_) are in the live table; Lookup compares the rest
   /// directly. Volatile; written by the writer, read by lock-free readers.
   uint64_t indexed_ = 0;
+};
+
+/// Log replay's volatile front for one delta dictionary. A value the
+/// dictionary already holds (a checkpointed entry) keeps its id; any
+/// other gets the next id in arrival order, after every id the
+/// dictionary holds, so replaying the log's values in log order hands
+/// out the ids the live engine assigned. New values wait in DRAM, found
+/// through a flat open-addressing table keyed by the dictionary's own
+/// hash, until Publish appends them with one BulkAppend per dictionary
+/// vector and indexes them once (DeltaDictionary::Repair). Nothing may
+/// write the dictionary between construction and Publish.
+///
+/// Publish is not crash-atomic: a crash between its appends and its
+/// indexing leaves ids the table misses. Replay only runs on a heap no
+/// crash reopens half-built (a log engine's DRAM heap, or the image
+/// rebuild's scratch file, installed after a clean close).
+class DictionaryStage {
+ public:
+  explicit DictionaryStage(DeltaDictionary* dict);
+
+  /// The id of `value`, staging it if the dictionary lacks it.
+  Result<ValueId> GetOrInsert(const Value& value);
+
+  /// Ids the dictionary holds once the stage is published.
+  uint64_t size() const { return base_size_ + values_.size(); }
+
+  /// Appends the staged values to the dictionary and indexes them.
+  Status Publish();
+
+ private:
+  /// Table slot: the hash's high 32 bits (its low bits pick the slot)
+  /// above the staged index + 1; 0 = empty.
+  using Slot = uint64_t;
+
+  bool Matches(uint64_t staged, const DeltaDictionary::Key& key) const;
+  void Grow();
+
+  DeltaDictionary* dict_;
+  uint64_t base_size_;
+  uint64_t base_blob_;
+  /// Staged values in the dictionary's stored form: numeric bits, or
+  /// offsets into the dictionary blob once `blob_` is appended to it.
+  std::vector<uint64_t> values_;
+  /// Staged strings, length-prefixed as BlobAppend writes them.
+  std::vector<char> blob_;
+  std::vector<Slot> slots_;
 };
 
 /// Read-only view of a main partition's sorted dictionary. Value ids are

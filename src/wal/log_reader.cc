@@ -1,7 +1,6 @@
 #include "wal/log_reader.h"
 
 #include <string>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -24,50 +23,47 @@ bool HasDecodableRecordAfter(const uint8_t* data, size_t len, size_t from) {
 
 }  // namespace
 
-Result<uint64_t> LogReader::ForEach(
-    uint64_t start_offset,
-    const std::function<Status(const LogRecord&)>& fn) {
+Status LogReader::Load(uint64_t start_offset) {
   const uint64_t end = device_->size();
   if (start_offset > end) {
     return Status::InvalidArgument("log start offset beyond end");
   }
-  const size_t total = end - start_offset;
-  std::vector<uint8_t> data(total);
-  if (total > 0) {
-    HYRISE_NV_RETURN_NOT_OK(device_->Read(start_offset, data.data(), total));
-  }
+  start_offset_ = start_offset;
+  checked_ = false;
+  checked_end_ = 0;
+  data_.assign(end - start_offset, 0);
+  if (data_.empty()) return Status::OK();
+  return device_->Read(start_offset, data_.data(), data_.size());
+}
 
-  uint64_t count = 0;
-  size_t pos = 0;
-  while (pos < total) {
-    size_t consumed = 0;
-    auto record = DecodeRecord(data.data() + pos, total - pos, &consumed);
-    if (!record.ok()) {
-      if (record.status().IsNotFound()) break;  // clean end
-      if (record.status().IsCorruption()) {
-        if (HasDecodableRecordAfter(data.data(), total, pos + 1)) {
-          return Status::Corruption(
-              "log corrupt at offset " +
-              std::to_string(start_offset + pos) +
-              " with valid records after it (mid-log corruption, not a "
-              "torn tail): " + record.status().message());
-        }
-        // Torn tail: a crash between flush and sync cuts the final
-        // record short (or leaves garbage). Like LevelDB, replay treats
-        // the first undecodable record as the end of the log — framed
-        // CRCs guarantee nothing partial is ever applied.
-        HYRISE_NV_LOG(kInfo) << "log replay stops at torn tail, offset "
-                             << (start_offset + pos) << ": "
-                             << record.status().ToString();
-        break;
-      }
-      return record.status();
-    }
-    HYRISE_NV_RETURN_NOT_OK(fn(*record));
-    pos += consumed;
-    ++count;
+Status LogReader::AtBadFrame(size_t pos, const Status& status) const {
+  if (status.IsNotFound()) return Status::OK();  // clean end
+  if (!status.IsCorruption()) return status;
+  if (HasDecodableRecordAfter(data_.data(), data_.size(), pos + 1)) {
+    return Status::Corruption(
+        "log corrupt at offset " + std::to_string(start_offset_ + pos) +
+        " with valid records after it (mid-log corruption, not a torn "
+        "tail): " + status.message());
   }
-  return count;
+  // Torn tail: a crash between flush and sync cuts the final record
+  // short (or leaves garbage). Like LevelDB, replay treats the first
+  // undecodable record as the end of the log — framed CRCs guarantee
+  // nothing partial is ever applied.
+  HYRISE_NV_LOG(kInfo) << "log replay stops at torn tail, offset "
+                       << (start_offset_ + pos) << ": "
+                       << status.ToString();
+  return Status::OK();
+}
+
+Result<uint64_t> LogReader::ForEach(
+    uint64_t start_offset,
+    const std::function<Status(const LogRecord&)>& fn) {
+  HYRISE_NV_RETURN_NOT_OK(Load(start_offset));
+  return ForEachFrame([&](const LogFrame& frame) -> Status {
+    HYRISE_NV_ASSIGN_OR_RETURN(const LogRecord record,
+                               DecodeRecordBody(frame));
+    return fn(record);
+  });
 }
 
 }  // namespace hyrise_nv::wal

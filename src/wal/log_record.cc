@@ -243,8 +243,8 @@ std::vector<uint8_t> EncodeRecord(const LogRecord& record) {
   return framed;
 }
 
-Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
-                               size_t* consumed) {
+Result<size_t> DecodeFrame(const uint8_t* data, size_t len,
+                           LogFrame* frame) {
   if (len < 8) {
     return Status::NotFound("end of log");
   }
@@ -261,8 +261,59 @@ Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
   if (Crc32c(body, body_len) != UnmaskCrc(masked_crc)) {
     return Status::Corruption("log record CRC mismatch");
   }
-  *consumed = 8 + body_len;
+  frame->body = body;
+  frame->size = body_len;
+  return 8 + static_cast<size_t>(body_len);
+}
 
+Result<RecordHeader> DecodeRecordHeader(const LogFrame& frame) {
+  const uint8_t* body = frame.body;
+  const size_t body_len = frame.size;
+  RecordHeader header;
+  size_t pos = 0;
+  uint8_t type;
+  if (!GetU8(body, body_len, &pos, &type)) {
+    return Status::Corruption("record truncated (type)");
+  }
+  header.type = static_cast<RecordType>(type);
+  bool ok = true;
+  switch (header.type) {
+    case RecordType::kInsert:
+    case RecordType::kInsertEncoded:
+    case RecordType::kDelete:
+    case RecordType::kAbort:
+      ok = GetU64(body, body_len, &pos, &header.tid);
+      break;
+    case RecordType::kCommit:
+      ok = GetU64(body, body_len, &pos, &header.tid) &&
+           GetU64(body, body_len, &pos, &header.cid);
+      break;
+    case RecordType::kPrepare:
+      ok = GetU64(body, body_len, &pos, &header.tid) &&
+           GetU64(body, body_len, &pos, &header.gtid);
+      break;
+    case RecordType::kDictAdd:
+    case RecordType::kCreateTable:
+    case RecordType::kCreateIndex:
+      break;
+    default:
+      return Status::Corruption("unknown record type " +
+                                std::to_string(type));
+  }
+  if (!ok) return Status::Corruption("record truncated");
+  return header;
+}
+
+Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
+                               size_t* consumed) {
+  LogFrame frame;
+  HYRISE_NV_ASSIGN_OR_RETURN(*consumed, DecodeFrame(data, len, &frame));
+  return DecodeRecordBody(frame);
+}
+
+Result<LogRecord> DecodeRecordBody(const LogFrame& frame) {
+  const uint8_t* body = frame.body;
+  const size_t body_len = frame.size;
   LogRecord record;
   size_t pos = 0;
   uint8_t type;
@@ -275,7 +326,7 @@ Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
   };
   switch (record.type) {
     case RecordType::kInsert: {
-      uint32_t count;
+      uint32_t count = 0;
       HYRISE_NV_RETURN_NOT_OK(need(GetU64(body, body_len, &pos, &record.tid)));
       HYRISE_NV_RETURN_NOT_OK(
           need(GetU64(body, body_len, &pos, &record.table_id)));
@@ -289,7 +340,7 @@ Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
       break;
     }
     case RecordType::kInsertEncoded: {
-      uint32_t count;
+      uint32_t count = 0;
       HYRISE_NV_RETURN_NOT_OK(need(GetU64(body, body_len, &pos, &record.tid)));
       HYRISE_NV_RETURN_NOT_OK(
           need(GetU64(body, body_len, &pos, &record.table_id)));
@@ -312,7 +363,7 @@ Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
       break;
     }
     case RecordType::kDelete: {
-      uint8_t in_main;
+      uint8_t in_main = 0;
       HYRISE_NV_RETURN_NOT_OK(need(GetU64(body, body_len, &pos, &record.tid)));
       HYRISE_NV_RETURN_NOT_OK(
           need(GetU64(body, body_len, &pos, &record.table_id)));
@@ -335,7 +386,7 @@ Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
           need(GetU64(body, body_len, &pos, &record.gtid)));
       break;
     case RecordType::kCreateTable: {
-      uint32_t name_len, blob_len;
+      uint32_t name_len = 0, blob_len = 0;
       HYRISE_NV_RETURN_NOT_OK(
           need(GetU64(body, body_len, &pos, &record.table_id)));
       HYRISE_NV_RETURN_NOT_OK(need(GetU32(body, body_len, &pos, &name_len)));

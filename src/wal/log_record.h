@@ -69,9 +69,36 @@ Result<storage::Value> DeserializeValue(const uint8_t* data, size_t len,
 /// Serialises the record payload + frame: [masked crc32c][u32 len][body].
 std::vector<uint8_t> EncodeRecord(const LogRecord& record);
 
-/// Parses one framed record at data[0..len). On success sets `*consumed`.
-/// A clean end-of-log (fewer than 8 bytes, or a zeroed frame) returns
-/// NotFound; a CRC mismatch returns Corruption (torn tail).
+/// The body of one framed record.
+struct LogFrame {
+  const uint8_t* body = nullptr;
+  size_t size = 0;
+};
+
+/// Checks the frame at data[0..len) against its CRC without parsing the
+/// body. On success sets `*frame` and returns the framed length. A clean
+/// end-of-log (fewer than 8 bytes, or a zeroed frame) returns NotFound; a
+/// short frame or a CRC mismatch returns Corruption (torn tail).
+Result<size_t> DecodeFrame(const uint8_t* data, size_t len, LogFrame* frame);
+
+/// What decides a transaction's fate: the record type and, where the
+/// record carries them, its tid, the commit's cid and the prepare's gtid.
+/// Fields a type lacks stay 0.
+struct RecordHeader {
+  RecordType type;
+  storage::Tid tid = 0;
+  storage::Cid cid = 0;
+  uint64_t gtid = 0;
+};
+
+/// Parses only the header fields of a checked body, never its values.
+Result<RecordHeader> DecodeRecordHeader(const LogFrame& frame);
+
+/// Parses a checked body in full.
+Result<LogRecord> DecodeRecordBody(const LogFrame& frame);
+
+/// DecodeFrame plus DecodeRecordBody on the record at data[0..len). On
+/// success sets `*consumed` to the framed length.
 Result<LogRecord> DecodeRecord(const uint8_t* data, size_t len,
                                size_t* consumed);
 

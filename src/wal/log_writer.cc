@@ -140,6 +140,7 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
   // Leader: swap the buffer out and run device I/O unlocked, so
   // followers can keep appending the next batch meanwhile.
   leader_active_ = true;
+  const uint64_t batch_start = device_->size();
   std::vector<uint8_t> batch;
   batch.swap(buffer_);
   const uint64_t batch_high =
@@ -174,12 +175,10 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
             "wal.group_commit.size");
     group_size.Record(batch_high - batch_low);
 #endif
-  } else if (!batch.empty()) {
-    // Keep failed bytes buffered (ahead of anything appended since) so a
-    // later flush preserves record order — matches the pre-group-commit
-    // failure semantics.
-    batch.insert(batch.end(), buffer_.begin(), buffer_.end());
-    buffer_.swap(batch);
+  } else {
+    // The batch is dropped, not re-buffered: the writer is degraded, so
+    // nothing may follow it into the log.
+    CutFailedBytes(batch_start);
   }
   in_flight_bytes_.store(0, std::memory_order_relaxed);
   leader_active_ = false;
@@ -191,11 +190,26 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
 Status LogWriter::SyncNow() {
   std::unique_lock<std::mutex> lock(mutex_);
   group_cv_.wait(lock, [&] { return !leader_active_; });
-  HYRISE_NV_RETURN_NOT_OK(FlushLocked());
-  HYRISE_NV_RETURN_NOT_OK(SyncDevice());
+  const uint64_t start = device_->size();
+  Status status = FlushLocked();
+  if (status.ok()) status = SyncDevice();
+  if (!status.ok()) {
+    // A commit buffered behind the last leader fails with this sync.
+    CutFailedBytes(start);
+    return status;
+  }
   synced_commits_.store(total_commits_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   return Status::OK();
+}
+
+void LogWriter::CutFailedBytes(uint64_t start) {
+  Status status = device_->Truncate(start);
+  if (!status.ok()) {
+    HYRISE_NV_LOG(kError) << "wal: cutting failed bytes from the log failed ("
+                          << status.ToString() << "); a reopen may replay "
+                          << "commits reported as failed";
+  }
 }
 
 }  // namespace hyrise_nv::wal

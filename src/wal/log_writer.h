@@ -29,7 +29,8 @@ namespace hyrise_nv::wal {
 /// writer enters degraded mode: every further durability request fails
 /// fast with an I/O error so the engine can flip to read-only instead of
 /// aborting the process or, worse, acknowledging commits it cannot make
-/// durable.
+/// durable. Bytes of a batch that fails that way are cut from the device
+/// again, so no reopen replays a commit reported as failed.
 class LogWriter {
  public:
   explicit LogWriter(BlockDevice* device) : device_(device) {}
@@ -85,6 +86,12 @@ class LogWriter {
   /// Syncs the device through RetryIo, recording fsync count + latency
   /// metrics. Same device-exclusivity requirement as FlushLocked.
   Status SyncDevice();
+
+  /// Truncates the device back to `start` after a flush or sync failed
+  /// for good: the commits in those bytes are reported as failed, so no
+  /// reopen may replay them. Same device-exclusivity requirement as
+  /// FlushLocked.
+  void CutFailedBytes(uint64_t start);
 
   BlockDevice* device_;
   std::atomic<uint64_t> total_commits_{0};

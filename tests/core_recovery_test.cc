@@ -284,6 +284,56 @@ TEST(ProcessRestartTest, NvmOpenHashesNoDictionaryEntries) {
   std::filesystem::remove_all(dir, ec);
 }
 
+// Log replay writes no persistent dictionary entry per value: it stages
+// each column's new values in DRAM and publishes them in one bulk step,
+// so an eager reopen of a 50k-row log of distinct values makes fewer
+// persist calls than it replays rows (one per value would be 50k per
+// column).
+TEST(ProcessRestartTest, WalOpenPersistsPerColumnNotPerValue) {
+  constexpr int64_t kRows = 50'000;
+  const auto value_of = [](int64_t k) {
+    return Value("distinct-" + std::to_string(k * 7919));
+  };
+  const std::string dir = MakeDataDir("process_restart_wal_persists");
+  DatabaseOptions options;
+  options.mode = DurabilityMode::kWalValue;
+  options.region_size = 64 << 20;
+  options.data_dir = dir;
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    for (int64_t k = 0; k < kRows;) {
+      auto tx = *db->Begin();
+      for (int j = 0; j < 1000; ++j, ++k) {
+        ASSERT_TRUE(db->Insert(tx, table, {Value(k), value_of(k)}).ok());
+      }
+      ASSERT_TRUE(db->Commit(tx).ok());
+    }
+    ASSERT_TRUE(db->Close().ok());
+  }
+  auto db_result = Database::Open(options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result;
+  EXPECT_EQ(db->last_recovery_report().log.deferred_rows,
+            static_cast<uint64_t>(kRows));
+  EXPECT_LT(db->nvm_stats().persist_calls.load(),
+            static_cast<uint64_t>(kRows));
+  storage::Table* table = *db->GetTable("kv");
+  const auto& dict = table->delta().column(1).dictionary();
+  EXPECT_EQ(dict.size(), static_cast<uint64_t>(kRows));
+  for (const int64_t k : {int64_t{0}, int64_t{12345}, kRows - 1}) {
+    EXPECT_EQ(dict.GetValue(dict.Lookup(value_of(k))), value_of(k));
+    auto rows = db->ScanEqual(table, 0, Value(k), db->ReadSnapshot(),
+                              storage::kTidNone);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ(table->GetValue(rows->front(), 1), value_of(k));
+  }
+  db_result->reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
 TEST(ProcessRestartTest, WalCloseAndReopen) {
   const std::string dir = MakeDataDir("process_restart_wal");
   DatabaseOptions options;

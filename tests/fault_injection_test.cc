@@ -14,6 +14,7 @@
 #include "core/query.h"
 #include "nvm/nvm_env.h"
 #include "wal/block_device.h"
+#include "wal/log_writer.h"
 
 namespace hyrise_nv::core {
 namespace {
@@ -145,10 +146,14 @@ TEST_F(FaultInjectionTest, PersistentAppendErrorFlipsReadOnly) {
 }
 
 TEST_F(FaultInjectionTest, PersistentSyncFailureDegrades) {
-  auto db_result = Database::Create(WalOptions());
+  const DatabaseOptions options = WalOptions();
+  auto db_result = Database::Create(options);
   ASSERT_TRUE(db_result.ok());
   auto db = std::move(db_result).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
+  ASSERT_TRUE(db->InsertAutoCommit(
+                    table, {Value(int64_t{0}), Value(std::string("z"))})
+                  .ok());
 
   FaultInjector::Instance().Arm(FaultPoint::kWalSyncFail, FaultPlan{});
   Status status = db->InsertAutoCommit(
@@ -157,6 +162,48 @@ TEST_F(FaultInjectionTest, PersistentSyncFailureDegrades) {
   EXPECT_EQ(status.code(), StatusCode::kIOError);
   EXPECT_TRUE(db->log_manager()->writer().degraded());
   EXPECT_TRUE(db->read_only());
+
+  // The failed commit's bytes reached the device before its fsync
+  // failed; a reopen must still not replay a commit reported as failed.
+  ASSERT_TRUE(db->Close().ok());
+  db.reset();
+  FaultInjector::Instance().DisarmAll();
+  auto reopened = Database::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  storage::Table* rtable = *(*reopened)->GetTable("kv");
+  std::vector<int64_t> keys;
+  rtable->ForEachVisibleRow(
+      (*reopened)->ReadSnapshot(), storage::kTidNone,
+      [&](storage::RowLocation loc) {
+        keys.push_back(std::get<int64_t>(rtable->GetValue(loc, 0)));
+      });
+  EXPECT_EQ(keys, (std::vector<int64_t>{0}));
+}
+
+// A sync that fails for good also fails the commits still buffered
+// behind the last group-commit leader, so their bytes must leave the
+// device again.
+TEST_F(FaultInjectionTest, FailedSyncNowCutsItsBytesFromTheLog) {
+  const std::string path = nvm::TempPath("fault_sync_cut");
+  auto device_result = wal::BlockDevice::Create(path, {});
+  ASSERT_TRUE(device_result.ok());
+  auto device = std::move(device_result).ValueUnsafe();
+  wal::LogWriter writer(device.get());
+  ASSERT_TRUE(writer.Commit(wal::LogRecord::Commit(1, 1)).ok());
+  const uint64_t synced = device->size();
+  ASSERT_GT(synced, 0u);
+  ASSERT_TRUE(writer
+                  .Append(wal::LogRecord::Insert(2, 7, {Value(int64_t{5})}))
+                  .ok());
+  ASSERT_TRUE(writer.Append(wal::LogRecord::Commit(2, 2)).ok());
+
+  FaultInjector::Instance().Arm(FaultPoint::kWalSyncFail, FaultPlan{});
+  EXPECT_FALSE(writer.SyncNow().ok());
+  EXPECT_TRUE(writer.degraded());
+  EXPECT_EQ(device->size(), synced);
+  EXPECT_EQ(nvm::FileSize(path), synced);
+  device.reset();
+  nvm::RemoveFileIfExists(path);
 }
 
 TEST_F(FaultInjectionTest, ShortWriteIsRepairedByRetry) {

@@ -224,5 +224,28 @@ TEST_F(RecoveryTraceTest, WalOpenYieldsLogRecoverySpanTree) {
                    report.trace.Find("replay")->seconds);
 }
 
+// An on-demand open builds the recovery driver's key maps before it
+// serves; that time belongs to log recovery, not to an unnamed gap.
+TEST_F(RecoveryTraceTest, WalOnDemandOpenBuildsKeyMapsInLogRecovery) {
+  auto options = MakeOptions(core::DurabilityMode::kWalValue);
+  {
+    auto db = core::Database::Create(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    SeedRows(**db);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  options.log_recovery = core::LogRecoveryPolicy::kServeOnDemand;
+  auto reopened = core::Database::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const core::RecoveryReport& report = (*reopened)->last_recovery_report();
+  EXPECT_TRUE(report.log.on_demand);
+  EXPECT_GT(report.log.deferred_rows, 0u);
+  EXPECT_EQ(ChildNames(report.trace.Find("log_recovery")),
+            (Names{"checkpoint_load", "analysis", "attach_index_sets",
+                   "build_key_maps"}));
+  EXPECT_EQ(ChildNames(report.trace.Find("analysis")),
+            (Names{"scan_commits", "apply", "reserve"}));
+}
+
 }  // namespace
 }  // namespace hyrise_nv::obs
