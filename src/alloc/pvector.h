@@ -107,16 +107,6 @@ class PVector {
     region_->Persist(slot, sizeof(T));
   }
 
-  /// Overwrites with a flush but *no fence* (the overwrite analogue of
-  /// AppendUnfenced). The caller must issue a region Fence before the
-  /// new value is relied on as durable.
-  void SetUnfenced(uint64_t index, const T& value) {
-    HYRISE_NV_DCHECK(index < size(), "PVector index out of range");
-    T* slot = data() + index;
-    *slot = value;
-    region_->Flush(slot, sizeof(T));
-  }
-
   /// Overwrites without persisting (caller batches a PersistRange).
   void SetUnpersisted(uint64_t index, const T& value) {
     HYRISE_NV_DCHECK(index < size(), "PVector index out of range");

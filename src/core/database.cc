@@ -179,10 +179,9 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->recovery_.total_seconds = db->recovery_.trace.seconds;
     NoteOpened();
     db->StartObservability(/*recovered=*/true);
-    if (db->recovery_driver_ != nullptr) {
-      Database* raw = db.get();
-      db->recovery_driver_->StartDrain(
-          [raw] { return raw->BuildDeferredIndexes(); });
+    if (db->serving_state() == ServingState::kServingDegraded) {
+      db->index_build_thread_ =
+          std::thread(&Database::BuildIndexesInBackground, db.get());
     }
     return db_result;
   }
@@ -274,8 +273,8 @@ Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
   recovery::LogIndex& index = *index_result;
   recovery::LogRecoveryReport& report = index.report;
   report.checkpoint_load_seconds = tracer.End();
-  // The same pass for both policies; only the open point differs. Eager
-  // replay is the pass plus every staged row restored right here.
+  // The same pass for both policies; it appends every row with its
+  // values. Only where the index builds run differs.
   tracer.Begin(on_demand ? "analysis" : "replay");
   HYRISE_NV_RETURN_NOT_OK(recovery::AnalyzeLog(
       *heap_, *catalog_, *txn_manager_, log_options, tracer, index));
@@ -283,22 +282,21 @@ Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
     report.on_demand = true;
     report.analysis_seconds = tracer.End();
   } else {
-    tracer.Begin("restore");
-    for (recovery::TablePending& pending : index.tables) {
-      for (uint32_t row = 0; row < pending.row_count; ++row) {
-        HYRISE_NV_RETURN_NOT_OK(recovery::RestorePendingRow(pending, row));
-      }
-    }
-    tracer.End();
     report.replay_seconds = tracer.End();
   }
   tracer.Begin("attach_index_sets");
   HYRISE_NV_RETURN_NOT_OK(AttachAllIndexSets());
   tracer.End();
-  deferred_indexes_ = index.indexed_columns;
-  const bool degraded = on_demand && report.deferred_rows > 0;
-  if (!degraded) {
-    // Every row holds its value: build the indexes now and open ready.
+  deferred_indexes_ = std::move(index.indexed_columns);
+  if (on_demand && !deferred_indexes_.empty()) {
+    // Serve now, degraded: scans run index-free until the background
+    // build (started once the database is live) flips the engine ready.
+    ready_.store(false, std::memory_order_relaxed);
+    if (obs::BlackboxWriter* bb = heap_->blackbox()) {
+      bb->Record(obs::BlackboxEventType::kDegradedOpen,
+                 deferred_indexes_.size(), report.replayed_rows);
+    }
+  } else {
     tracer.Begin("index_rebuild");
     HYRISE_NV_RETURN_NOT_OK(BuildDeferredIndexes());
     report.index_rebuild_seconds = tracer.End();
@@ -306,19 +304,6 @@ Status Database::RecoverFromWal(obs::SpanTracer& tracer, bool on_demand) {
   recovery_.mode = options_.mode;
   recovery_.recovered = true;
   recovery_.log = report;
-  if (degraded) {
-    // Serve-during-recovery: reads restore the rows they touch, and the
-    // drain (started once the database is live) restores the rest and
-    // then builds the deferred indexes. The driver's key maps, which let
-    // a point read restore only its key's rows, are built here.
-    recovery::RecoveryDriverOptions driver_options;
-    driver_options.drain_chunk_rows = options_.drain_chunk_rows;
-    driver_options.drain_pause_us = options_.drain_pause_us;
-    tracer.Begin("build_key_maps");
-    recovery_driver_ = std::make_unique<recovery::RecoveryDriver>(
-        *heap_, std::move(index), driver_options);
-    tracer.End();
-  }
   tracer.End();
   return AdoptInDoubt(recovery_.log, *catalog_, *txn_manager_);
 }
@@ -408,23 +393,23 @@ Status Database::EnsureWritable() const {
 }
 
 Status Database::EnsureNotDegraded(const char* what) const {
-  if (recovery_driver_ == nullptr || !recovery_driver_->serving_degraded()) {
-    return Status::OK();
-  }
+  if (serving_state() == ServingState::kReady) return Status::OK();
   return Status::Aborted(std::string(what) +
-                         " unavailable while serving degraded: recovery "
-                         "drain in progress");
+                         " unavailable while serving degraded: background "
+                         "index build in progress");
 }
 
 Status Database::BuildDeferredIndexes() {
   for (const auto& indexed : deferred_indexes_) {
+    if (stop_index_build_.load(std::memory_order_acquire)) {
+      return Status::Aborted("index build stopped");
+    }
     auto table_result = catalog_->GetTable(indexed.table);
     if (!table_result.ok()) return table_result.status();
     storage::Table* table = *table_result;
     index::IndexSet* set = indexes(table);
     HYRISE_NV_CHECK(set != nullptr, "table without index set");
-    // Same lock as Insert: writers admitted during degraded serving must
-    // not observe a half-built index, and rows they append either land
+    // Same lock as Insert: rows appended while degraded either land
     // before the build (the build sees them) or after (OnInsert sees the
     // bound index).
     std::lock_guard<std::mutex> write_guard(table->write_mutex());
@@ -441,13 +426,48 @@ Status Database::BuildDeferredIndexes() {
   return Status::OK();
 }
 
+void Database::BuildIndexesInBackground() {
+  const uint64_t start_ticks = obs::FastClock::NowTicks();
+  // The one pause before the build: it holds the degraded window open
+  // for tests and smoke runs.
+  const auto resume = std::chrono::steady_clock::now() +
+                      std::chrono::microseconds(options_.drain_pause_us);
+  while (!stop_index_build_.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < resume) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const size_t built = deferred_indexes_.size();
+  Status status = BuildDeferredIndexes();
+  if (!status.ok()) {
+    // Stay degraded: scans keep answering index-free.
+    if (!stop_index_build_.load(std::memory_order_acquire)) {
+      HYRISE_NV_LOG(kError) << "background index build failed: "
+                            << status.ToString();
+    }
+    return;
+  }
+  if (obs::BlackboxWriter* bb = heap_->blackbox()) {
+    bb->Record(obs::BlackboxEventType::kRecoveryDrainDone, built,
+               obs::FastClock::TicksToNanos(static_cast<int64_t>(
+                   obs::FastClock::NowTicks() - start_ticks)));
+  }
+  ready_.store(true, std::memory_order_release);
+}
+
+void Database::StopIndexBuild() {
+  stop_index_build_.store(true, std::memory_order_release);
+  if (index_build_thread_.joinable()) index_build_thread_.join();
+}
+
+Database::~Database() { StopIndexBuild(); }
+
 Status Database::WaitUntilRecovered(uint64_t timeout_ms) {
-  if (recovery_driver_ == nullptr) return Status::OK();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  while (recovery_driver_->serving_degraded()) {
+  while (serving_state() == ServingState::kServingDegraded) {
     if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Aborted("timed out waiting for the recovery drain");
+      return Status::Aborted(
+          "timed out waiting for the background index build");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -516,8 +536,7 @@ Result<storage::Table*> Database::CreateTable(const std::string& name,
 
 Status Database::CreateIndex(const std::string& table_name, size_t column,
                              storage::PIndexKind kind) {
-  // Index builds key every existing row; placeholders can't be keyed,
-  // and the build would race the drain's deferred builds.
+  // The build would race the background build of the deferred indexes.
   HYRISE_NV_RETURN_NOT_OK(EnsureNotDegraded("create-index"));
   HYRISE_NV_RETURN_NOT_OK(EnsureWritable());
   auto table_result = catalog_->GetTable(table_name);
@@ -624,23 +643,11 @@ Status Database::InsertAutoCommit(storage::Table* table,
 Result<std::vector<storage::RowLocation>> Database::ScanEqual(
     storage::Table* table, size_t column, const storage::Value& value,
     storage::Cid snapshot, storage::Tid tid) const {
-  const bool degraded =
-      recovery_driver_ != nullptr && recovery_driver_->serving_degraded();
-  std::unique_lock<std::mutex> degraded_guard;
-  if (degraded) {
-    // Restore the rows this key touches first. The scan then runs
-    // index-free: no index exists while degraded (all builds are
-    // deferred to the drain), and consulting the set here would race the
-    // finalize-time build. Holding the write mutex for the scan itself
-    // serializes the full-delta cell walk with the drain's chunked
-    // restores (the drain takes the same mutex per chunk, so degraded
-    // reads pause it briefly instead of racing it).
-    HYRISE_NV_RETURN_NOT_OK(
-        recovery_driver_->PrepareScanEqual(table, column, value));
-    degraded_guard = std::unique_lock<std::mutex>(table->write_mutex());
-  }
+  // While degraded the scan runs index-free: consulting the set would
+  // race the background build. Every row already holds its value.
   std::vector<storage::RowLocation> rows;
-  index::IndexSet* set = degraded ? nullptr : indexes(table);
+  index::IndexSet* set =
+      serving_state() == ServingState::kReady ? indexes(table) : nullptr;
   if (set != nullptr && set->HasIndex(column)) {
     HYRISE_NV_RETURN_NOT_OK(set->ForEachEqualCandidate(
         column, value, [&](storage::RowLocation loc) {
@@ -682,17 +689,10 @@ Result<std::vector<storage::RowLocation>> Database::ScanRange(
     storage::Table* table, size_t column, const storage::Value& lo,
     const storage::Value& hi, storage::Cid snapshot,
     storage::Tid tid) const {
-  if (recovery_driver_ != nullptr && recovery_driver_->serving_degraded()) {
-    HYRISE_NV_RETURN_NOT_OK(
-        recovery_driver_->PrepareScanRange(table, column, lo, hi));
-    // Index-free for the same reason as ScanEqual: the deferred index
-    // build must not be observed half-done. The scan holds the write
-    // mutex to serialize with the drain's chunked cell restores.
-    std::lock_guard<std::mutex> guard(table->write_mutex());
-    return core::ScanRange(table, column, lo, hi, snapshot, tid, nullptr);
-  }
-  return core::ScanRange(table, column, lo, hi, snapshot, tid,
-                         indexes(table));
+  // Index-free while degraded, for the same reason as ScanEqual.
+  return core::ScanRange(
+      table, column, lo, hi, snapshot, tid,
+      serving_state() == ServingState::kReady ? indexes(table) : nullptr);
 }
 
 Result<storage::MergeStats> Database::Merge(const std::string& table_name) {
@@ -738,8 +738,8 @@ Result<storage::MergeStats> Database::Merge(const std::string& table_name) {
 
 Status Database::Checkpoint() {
   if (log_manager_ == nullptr) return Status::OK();
-  // A checkpoint while rows are still placeholders would snapshot
-  // kInvalidValueId cells as real data.
+  // A checkpoint records only built indexes: the deferred ones would be
+  // lost from it.
   HYRISE_NV_RETURN_NOT_OK(EnsureNotDegraded("checkpoint"));
   HYRISE_NV_RETURN_NOT_OK(EnsureWritable());
   if (txn_manager_->PreparedCount() > 0) {
@@ -769,10 +769,10 @@ Status Database::Close() {
   // after the close event seals the session (its hook also dereferences
   // heap_ state that Close tears down).
   timeline_.reset();
-  // Stop the drain before touching shared state below. A close while
-  // still degraded is fine: restores are never re-logged, so the next
-  // open simply re-runs analysis from the same WAL.
-  if (recovery_driver_ != nullptr) recovery_driver_->StopDrain();
+  // Stop the background build before touching shared state below. A
+  // close while still degraded is fine: the build logs nothing, so the
+  // next open runs the same log pass and builds the indexes again.
+  StopIndexBuild();
   if (read_only_) {
     // Salvage / degraded: nothing here may touch the image or the log.
     // In particular the image must NOT be marked clean — its seals were
@@ -880,14 +880,6 @@ void Database::SyncPassiveMetrics() {
   registry.GetGauge("db.read_only").Set(read_only_ ? 1 : 0);
   registry.GetGauge("db.serving_degraded")
       .Set(serving_state() == ServingState::kServingDegraded ? 1 : 0);
-  if (recovery_driver_ != nullptr) {
-    const recovery::RecoveryProgress progress = recovery_progress();
-    registry.GetGauge("recovery.pending.rows")
-        .Set(static_cast<int64_t>(progress.total_rows -
-                                  progress.restored_rows));
-    registry.GetGauge("recovery.progress.percent")
-        .Set(static_cast<int64_t>(progress.percent()));
-  }
   if (log_manager_ != nullptr) {
     const wal::LogWriter& writer = log_manager_->writer();
     registry.GetCounter("wal.io.retries").Store(writer.io_retries());

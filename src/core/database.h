@@ -1,8 +1,10 @@
 #ifndef HYRISE_NV_CORE_DATABASE_H_
 #define HYRISE_NV_CORE_DATABASE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -10,18 +12,18 @@
 #include "index/index_set.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "recovery/recovery_driver.h"
 #include "storage/catalog.h"
 #include "storage/merge.h"
 #include "txn/txn_manager.h"
+#include "wal/checkpoint.h"
 
 namespace hyrise_nv::core {
 
 /// Availability state of an open database. A WAL open under
-/// LogRecoveryPolicy::kServeOnDemand starts kServingDegraded: reads and
-/// writes work (value reads restore pending rows on demand), but
-/// checkpoint/merge/index DDL are refused until the background drain
-/// finishes and flips the engine to kReady.
+/// LogRecoveryPolicy::kServeOnDemand with indexes to build starts
+/// kServingDegraded: every row is in place, reads and writes work (scans
+/// run index-free), but checkpoint/merge/index DDL are refused until the
+/// background index build finishes and flips the engine to kReady.
 enum class ServingState {
   kReady,
   kServingDegraded,
@@ -56,6 +58,9 @@ class Database {
   /// mutates the image and never runs recovery — safe on corrupt input.
   static Result<recovery::VerifyReport> VerifyImage(
       const DatabaseOptions& options);
+
+  /// Stops and joins a background index build still running.
+  ~Database();
 
   HYRISE_NV_DISALLOW_COPY_AND_MOVE(Database);
 
@@ -125,15 +130,16 @@ class Database {
   // --- Queries (see also core/query.h) -------------------------------------
 
   /// Rows of `table` where column == value, visible to (snapshot, tid).
-  /// Uses indexes when present. Pass an active transaction's snapshot/tid
+  /// Uses indexes when present, except while degraded: the background
+  /// build may be writing them. Pass an active transaction's snapshot/tid
   /// or ReadSnapshot()/kTidNone for an ad-hoc read.
   Result<std::vector<storage::RowLocation>> ScanEqual(
       storage::Table* table, size_t column, const storage::Value& value,
       storage::Cid snapshot, storage::Tid tid) const;
 
   /// Rows of `table` where lo <= column <= hi, visible to (snapshot,
-  /// tid). Uses an ordered index when one exists; degraded-aware like
-  /// ScanEqual (restores the touched key range on demand first).
+  /// tid). Uses an ordered index when one exists; index-free while
+  /// degraded, like ScanEqual.
   Result<std::vector<storage::RowLocation>> ScanRange(
       storage::Table* table, size_t column, const storage::Value& lo,
       const storage::Value& hi, storage::Cid snapshot,
@@ -159,23 +165,18 @@ class Database {
   const DatabaseOptions& options() const { return options_; }
   const RecoveryReport& last_recovery_report() const { return recovery_; }
 
-  /// kServingDegraded while an on-demand recovery drain is in flight;
-  /// kReady otherwise (including every non-WAL mode and eager replay).
+  /// kServingDegraded while an on-demand open's background index build
+  /// is in flight; kReady otherwise (including every non-WAL mode and
+  /// eager replay). The acquire load pairs with the build's release
+  /// store, so a caller that sees kReady also sees the built indexes.
   ServingState serving_state() const {
-    return recovery_driver_ && recovery_driver_->serving_degraded()
-               ? ServingState::kServingDegraded
-               : ServingState::kReady;
+    return ready_.load(std::memory_order_acquire)
+               ? ServingState::kReady
+               : ServingState::kServingDegraded;
   }
 
-  /// Restoration progress of an on-demand recovery (all-done/100% when
-  /// the database never opened degraded).
-  recovery::RecoveryProgress recovery_progress() const {
-    if (recovery_driver_) return recovery_driver_->progress();
-    return recovery::RecoveryProgress{};
-  }
-
-  /// Blocks until the background drain finishes and the engine is fully
-  /// recovered (immediately OK when not degraded). Fails with
+  /// Blocks until the background index build finishes and the engine is
+  /// fully recovered (immediately OK when not degraded). Fails with
   /// Status::Aborted after `timeout_ms`.
   Status WaitUntilRecovered(uint64_t timeout_ms);
 
@@ -229,12 +230,12 @@ class Database {
   static Result<std::unique_ptr<Database>> OpenViaLogFallback(
       const DatabaseOptions& options);
   /// Log-based recovery into the freshly formatted heap: checkpoint load,
-  /// the analysis pass, then the open point. Eager (`on_demand` false)
-  /// restores every staged row on this thread and builds the indexes
-  /// before returning; on-demand leaves the rows to a RecoveryDriver
-  /// whose drain the caller starts once the database is live. Either
-  /// way, in-doubt 2PC transactions are adopted last. Spans go into
-  /// `tracer` under "log_recovery".
+  /// then the log pass, which leaves every row in place. Eager
+  /// (`on_demand` false) builds the indexes before returning; on-demand
+  /// with indexes to build leaves the engine degraded for
+  /// BuildIndexesInBackground, which the caller starts once the database
+  /// is live. Either way, in-doubt 2PC transactions are adopted last.
+  /// Spans go into `tracer` under "log_recovery".
   Status RecoverFromWal(obs::SpanTracer& tracer, bool on_demand);
   /// Takes over an NVM instant restart's heap, catalog and txn manager
   /// (in-flight commits rolled forward, in-doubt 2PC transactions
@@ -246,14 +247,22 @@ class Database {
   Status AttachAllIndexSets();
   nvm::PmemRegionOptions MakeRegionOptions() const;
   Status EnsureWritable() const;
-  /// Refuses maintenance/DDL (`what`) while serving degraded — logged
-  /// positions reference the pre-merge layout and deferred indexes are
-  /// still pending, so these must wait for the drain to finish.
+  /// Refuses maintenance/DDL (`what`) while serving degraded: deferred
+  /// indexes are still being built, so these wait for the build.
   Status EnsureNotDegraded(const char* what) const;
-  /// Builds every index the checkpoint and log recorded, once all staged
-  /// rows hold their values: inline in an eager open, or on the drain
-  /// thread as the finalize step of an on-demand one.
+  /// Builds every index the checkpoint and log recorded, once the log
+  /// pass has appended every row: inline in an eager open, or on the
+  /// background thread of an on-demand one. Stops between indexes with
+  /// Aborted once StopIndexBuild was called.
   Status BuildDeferredIndexes();
+  /// The background thread of an on-demand open: waits
+  /// `options_.drain_pause_us`, builds the deferred indexes and flips
+  /// the engine ready with a release store. A failed or stopped build
+  /// leaves it degraded, so no half-built index ever serves.
+  void BuildIndexesInBackground();
+  /// Stops the background build between indexes and joins it (Close and
+  /// the destructor). Safe to call repeatedly.
+  void StopIndexBuild();
   /// Flips the database read-only when a WAL write error exhausted the
   /// writer's retry budget (degraded mode).
   void NoteLogFailure(const Status& status);
@@ -273,12 +282,14 @@ class Database {
   std::unique_ptr<wal::LogManager> log_manager_;
   std::unordered_map<storage::Table*, std::unique_ptr<index::IndexSet>>
       index_sets_;
-  /// Indexes from the checkpoint and log whose builds wait until every
-  /// staged row is restored (placeholder rows can't be keyed).
+  /// Indexes from the checkpoint and log, built after the log pass.
   std::vector<wal::CheckpointInfo::IndexedColumn> deferred_indexes_;
-  /// Non-null only for an on-demand WAL open with pending rows; owns the
-  /// drain thread, so destroyed before the structures it restores into.
-  std::unique_ptr<recovery::RecoveryDriver> recovery_driver_;
+  /// False while an on-demand open's background index build runs.
+  std::atomic<bool> ready_{true};
+  std::atomic<bool> stop_index_build_{false};
+  /// Joined in the destructor's body, so it ends before any structure it
+  /// builds into is destroyed.
+  std::thread index_build_thread_;
   // Last member on purpose: destroyed first, so the timeline thread is
   // stopped before the heap (and its flight recorder) go away.
   std::unique_ptr<obs::TimelineRecorder> timeline_;

@@ -38,9 +38,7 @@ std::string RecoveryReport::RenderText() const {
   if (fell_back_to_log) out << " fell_back_to_log";
   if (read_only) out << " read_only";
   if (log.checkpoint_fallback) out << " checkpoint_fallback";
-  if (log.on_demand) {
-    out << " on_demand(deferred_rows=" << log.deferred_rows << ")";
-  }
+  if (log.on_demand) out << " on_demand";
   char total[64];
   std::snprintf(total, sizeof(total), " total=%.3f ms",
                 total_seconds * 1e3);
@@ -74,13 +72,13 @@ std::string RecoveryReport::ToJson() const {
     out << ",\"phases\":{\"checkpoint_load_seconds\":"
         << log.checkpoint_load_seconds;
     if (log.on_demand) {
-      out << ",\"analysis_seconds\":" << log.analysis_seconds
-          << ",\"deferred_rows\":" << log.deferred_rows;
+      out << ",\"analysis_seconds\":" << log.analysis_seconds;
     } else {
       out << ",\"replay_seconds\":" << log.replay_seconds
           << ",\"index_rebuild_seconds\":" << log.index_rebuild_seconds;
     }
     out << ",\"replayed_records\":" << log.replayed_records
+        << ",\"replayed_rows\":" << log.replayed_rows
         << ",\"committed_txns\":" << log.committed_txns
         << ",\"checkpoint_fallback\":"
         << (log.checkpoint_fallback ? "true" : "false")

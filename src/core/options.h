@@ -43,17 +43,16 @@ enum class OpenMode {
 };
 
 /// When Open() serves after the log pass (WAL modes only). Both policies
-/// run the same analysis pass, which stages logged rows as placeholders
-/// with final MVCC state; they differ only in the open point.
+/// run the same log pass, which appends every logged row with its values
+/// and final MVCC state; they differ only in where the index builds run.
 enum class LogRecoveryPolicy {
-  /// Restore every staged row and build the indexes before serving (the
-  /// paper's baseline: recovery is linear in data size and the engine is
-  /// down for the whole replay).
+  /// Build the indexes before serving (the paper's baseline: recovery is
+  /// linear in data size and the engine is down for the whole replay).
   kEagerReplay,
-  /// Serve-during-recovery (MM-DIRECT shape): the engine opens degraded
-  /// right after the pass, reads restore the keys they touch on demand,
-  /// and a background drain restores the remainder before flipping the
-  /// engine to fully recovered.
+  /// Serve-during-recovery: the engine opens right after the pass,
+  /// degraded while one background thread builds the indexes (scans run
+  /// index-free), then flips to fully recovered. With no index to build
+  /// it opens ready.
   kServeOnDemand,
 };
 
@@ -88,11 +87,9 @@ struct DatabaseOptions {
   /// WAL recovery policy (ignored by kNvm/kNone).
   LogRecoveryPolicy log_recovery = LogRecoveryPolicy::kEagerReplay;
 
-  /// Serve-on-demand drain tuning: rows restored per write_mutex hold,
-  /// and an optional pause between chunks (0 = drain flat out). The
-  /// pause bounds writer stalls and lets tests hold the degraded window
+  /// Serve-on-demand: one delay before the background index build
+  /// starts (0 = build at once). Tests use it to hold the degraded window
   /// open deterministically.
-  uint64_t drain_chunk_rows = 4096;
   uint64_t drain_pause_us = 0;
 
   // --- Observability -------------------------------------------------------
@@ -107,7 +104,7 @@ struct DatabaseOptions {
   /// Run the timeline recorder (DESIGN.md §15): every
   /// timeline_interval_ms it captures the standard temporal metric set
   /// (commit/fsync/request rates, per-interval latency percentiles,
-  /// heap/RSS/NVM-region gauges, recovery backlog) into a ring of
+  /// heap/RSS/NVM-region gauges, degraded serving) into a ring of
   /// timeline_capacity samples, annotated with maintenance phases
   /// spliced from the flight recorder; each tick also flushes the flight
   /// recorder. Exported via Database::TimelineJson() and the server stats

@@ -56,7 +56,7 @@ class DeltaIndex {
 
   /// Indexes delta row `row` of `column`, and any earlier row a failed
   /// insert left unlinked. Refuses a cell whose id is not in the
-  /// dictionary, such as a placeholder's kInvalidValueId.
+  /// dictionary, such as a corrupt cell's kInvalidValueId.
   Status Insert(const storage::DeltaColumn& column, uint64_t row);
 
   /// Re-links the newest row if a crash cut its insert before the head

@@ -442,7 +442,7 @@ Status Client::WaitUntilReady(int timeout_ms, int poll_ms) {
     }
     if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Aborted("timed out waiting for the server to finish "
-                             "its recovery drain");
+                             "its background index build");
     }
     SleepMs(std::max(1, poll_ms));
   }

@@ -89,9 +89,10 @@ class Client {
   uint64_t current_tid() const { return current_tid_; }
   /// Wire code of the most recent response (kOk after a success).
   WireCode last_wire_code() const { return last_wire_code_; }
-  /// True when the last rejection was the server warming up (recovery
-  /// drain in progress) — retryable, and distinct from kOverloaded: the
-  /// right backoff is "wait for the drain", not "reduce offered load".
+  /// True when the last rejection was the server warming up (background
+  /// index build in progress) — retryable, and distinct from kOverloaded:
+  /// the right backoff is "wait for the build", not "reduce offered
+  /// load".
   bool last_warming() const {
     return last_wire_code_ == WireCode::kWarming;
   }
@@ -181,12 +182,11 @@ class Client {
   /// Server + engine stats as JSON.
   Result<std::string> Stats();
   /// The server's last RecoveryReport as JSON (shows the instant-restart
-  /// span after an NVM recovery), extended with the live serving state
-  /// and recovery-drain progress.
+  /// span after an NVM recovery), extended with the live serving state.
   Result<std::string> RecoveryInfo();
   /// Polls RecoveryInfo until the server reports serving_state "ready"
-  /// (recovery drain complete). Returns immediately on servers without a
-  /// degraded mode. Fails with Aborted on timeout.
+  /// (background index build complete). Returns immediately on servers
+  /// without a degraded mode. Fails with Aborted on timeout.
   Status WaitUntilReady(int timeout_ms, int poll_ms = 50);
   Status Checkpoint();
   /// Asks the server to drain. The connection is expected to die shortly

@@ -1004,18 +1004,10 @@ class ServerImpl {
     return db_->serving_state() == core::ServingState::kServingDegraded;
   }
 
-  /// "server warming, N% drained (M of T rows)" — tells a shedding
-  /// client how far along the recovery drain is, so it can back off
-  /// proportionally instead of blind-retrying.
-  std::string WarmingMessage() const {
-    const recovery::RecoveryProgress progress = db_->recovery_progress();
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "server warming, %.0f%% drained (%llu of %llu rows)",
-                  progress.percent(),
-                  static_cast<unsigned long long>(progress.restored_rows),
-                  static_cast<unsigned long long>(progress.total_rows));
-    return buf;
+  /// Tells a shed client why: the request waits for the background
+  /// index build of an on-demand recovery.
+  static std::string WarmingMessage() {
+    return "server warming: building indexes after log recovery";
   }
 
   /// Ops that never get shed while warming: they don't touch table data
@@ -1038,10 +1030,10 @@ class ServerImpl {
     }
   }
 
-  /// Load shedding during degraded serving: on-demand restores contend
-  /// with the drain for the table locks, so engine-touching requests
-  /// beyond an eighth of max_inflight get a retryable kWarming rejection
-  /// and the drain keeps making progress under client load.
+  /// Load shedding during degraded serving: scans walk whole columns
+  /// while the indexes build, so engine-touching requests beyond an
+  /// eighth of max_inflight get a retryable kWarming rejection instead
+  /// of queueing behind them.
   bool ShedWhileWarming(Opcode op, int inflight,
                         std::vector<uint8_t>* response) {
     if (ExemptFromWarmingShed(op) || !serving_degraded()) return false;
@@ -1095,9 +1087,9 @@ class ServerImpl {
         return MakeOkString(op, RecoveryInfoJson());
       case Opcode::kCheckpoint: {
         if (serving_degraded()) {
-          // The engine would refuse anyway (placeholder rows must not be
-          // checkpointed); surface it as the retryable warming code so
-          // clients know to simply wait for the drain.
+          // The engine would refuse anyway (the deferred indexes are not
+          // built yet); surface it as the retryable warming code so
+          // clients know to simply wait for the build.
           return MakeErrorPayload(op, WireCode::kWarming, WarmingMessage());
         }
         std::lock_guard<std::mutex> guard(ddl_mutex_);
@@ -1547,23 +1539,15 @@ class ServerImpl {
                          static_cast<storage::PIndexKind>(kind)));
   }
 
-  /// The recovery report plus the live serving state and drain progress
-  /// (the report alone is a point-in-time snapshot of the open).
+  /// The recovery report plus the live serving state (the report alone
+  /// is a point-in-time snapshot of the open).
   std::string RecoveryInfoJson() const {
     std::string json = db_->last_recovery_report().ToJson();
-    const recovery::RecoveryProgress progress = db_->recovery_progress();
-    std::ostringstream extra;
-    extra << ",\"serving_state\":\""
-          << (serving_degraded() ? "degraded" : "ready")
-          << "\",\"recovery_progress\":{\"total_rows\":"
-          << progress.total_rows
-          << ",\"restored_rows\":" << progress.restored_rows
-          << ",\"percent\":" << progress.percent()
-          << ",\"drained\":" << (progress.drained ? "true" : "false")
-          << "}}";
     // Splice before the report's closing brace.
     json.pop_back();
-    json += extra.str();
+    json += ",\"serving_state\":\"";
+    json += serving_degraded() ? "degraded" : "ready";
+    json += "\"}";
     return json;
   }
 

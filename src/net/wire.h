@@ -158,7 +158,7 @@ enum class WireCode : uint8_t {
   kOverloaded = 32,  // 503-style admission-control rejection; retryable
   kDraining = 33,    // server is shutting down gracefully; retryable
   kProtocolError = 34,  // malformed frame/handshake; connection closes
-  kWarming = 35,  // serving degraded during recovery drain; retryable
+  kWarming = 35,  // serving degraded during the index build; retryable
 };
 
 /// Status → wire code. Every engine StatusCode maps byte-for-byte.

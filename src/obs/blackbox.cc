@@ -514,11 +514,11 @@ std::string BlackboxEventDetail(const BlackboxDecodedEvent& ev) {
                     "corrupt checkpoint ignored; full replay from offset 0");
       break;
     case BlackboxEventType::kDegradedOpen:
-      std::snprintf(buf, sizeof(buf), "pending_rows=%llu tables=%llu",
+      std::snprintf(buf, sizeof(buf), "indexes=%llu replayed_rows=%llu",
                     static_cast<ULL>(ev.a), static_cast<ULL>(ev.b));
       break;
     case BlackboxEventType::kRecoveryDrainDone:
-      std::snprintf(buf, sizeof(buf), "drained_rows=%llu took=%.1fms",
+      std::snprintf(buf, sizeof(buf), "built_indexes=%llu took=%.1fms",
                     static_cast<ULL>(ev.a),
                     static_cast<double>(ev.b) / 1e6);
       break;

@@ -93,8 +93,8 @@ enum class BlackboxEventType : uint16_t {
   kDrain = 18,         // a=open connections at drain start
   kTxnPublishBatch = 19,  // a=commits published, b=watermark cid, c=skips
   kCheckpointFallback = 20,  // a=1 (corrupt checkpoint; full replay from 0)
-  kDegradedOpen = 21,     // a=pending rows, b=tables with pending rows
-  kRecoveryDrainDone = 22,  // a=rows restored by drain, b=duration ns
+  kDegradedOpen = 21,     // a=indexes left to build, b=replayed rows
+  kRecoveryDrainDone = 22,  // a=indexes built, b=ns since the open
   kWarmingShed = 23,      // a=requests in flight at the shed decision
   kSlowRequest = 24,   // a=opcode, b=dominant stage (RequestStage),
                        // c=total ns, d=dominant stage ns, e=connection id

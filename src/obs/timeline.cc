@@ -84,13 +84,11 @@ TimelineConfig TimelineConfig::Default() {
       "txn.commit.count",  "txn.abort.count",
       "wal.fsync.count",   "nvm.persist.count",
       "net.requests.count", "merge.count",
-      "recovery.restore.ondemand.rows",
   };
   config.gauges = {
       "alloc.heap_used.bytes",     "process.rss_bytes",
       "nvm.region.used_bytes",     "nvm.region.capacity_bytes",
-      "recovery.pending.rows",     "db.serving_degraded",
-      "net.connections.open",
+      "db.serving_degraded",       "net.connections.open",
   };
   config.histograms = {
       "txn.commit.latency_ns",

@@ -15,12 +15,16 @@ namespace {
 using storage::Cid;
 using storage::Tid;
 
-/// Mutable per-table accumulation during the scan: the pending ids, the
-/// staged MVCC entries (deletes fold into these before the placeholder
-/// rows are appended in one bulk step at the end), and one dictionary
-/// stage per column, published in the same step.
+/// Mutable per-table accumulation during the scan: the staged rows' ids,
+/// one vector per column so that each column appends with one copy; their
+/// MVCC entries (deletes fold into these before the rows are appended in
+/// one bulk step at the end); and one dictionary stage per column,
+/// published just before that step. Staged row i becomes delta row
+/// `base_delta_rows + i`.
 struct StagedTable {
-  TablePending pending;
+  storage::Table* table = nullptr;
+  uint64_t base_delta_rows = 0;
+  std::vector<std::vector<storage::ValueId>> ids;
   std::vector<storage::MvccEntry> mvcc;
   std::vector<storage::DictionaryStage> dicts;
 };
@@ -129,11 +133,12 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
     staged_by_id.emplace(table_id, staged.size());
     staged.emplace_back();
     StagedTable& entry = staged.back();
-    entry.pending.table = *table;
-    // Placeholders are only appended after the scan, so the current
-    // delta row count stays the staging base for the whole pass.
-    entry.pending.base_delta_rows = (*table)->delta_row_count();
+    entry.table = *table;
+    // Staged rows are only appended after the scan, so the current delta
+    // row count stays the staging base for the whole pass.
+    entry.base_delta_rows = (*table)->delta_row_count();
     const size_t columns = (*table)->schema().num_columns();
+    entry.ids.resize(columns);
     entry.dicts.reserve(columns);
     for (size_t c = 0; c < columns; ++c) {
       entry.dicts.emplace_back(&(*table)->delta().column(c).dictionary());
@@ -147,8 +152,8 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
   // Stages one logged insert whose ids the caller appended. Its MVCC
   // entry is final up front: a committed insert carries its begin stamp;
   // any other stays invisible (begin = ∞) under its writer's claim, and
-  // an in-doubt one joins its transaction's write set at the row its
-  // placeholder will occupy.
+  // an in-doubt one joins its transaction's write set at the row it will
+  // occupy.
   auto stage = [&](StagedTable& entry, const wal::LogRecord& record) {
     storage::MvccEntry mvcc;
     mvcc.begin = storage::kCidInfinity;
@@ -160,11 +165,10 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
       mvcc.tid = storage::kTidNone;
     } else if (prepared.count(record.tid) > 0) {
       const storage::RowLocation loc{
-          false, entry.pending.base_delta_rows + entry.mvcc.size()};
+          false, entry.base_delta_rows + entry.mvcc.size()};
       in_doubt_writes[record.tid].push_back({record.table_id, loc, false});
     }
     entry.mvcc.push_back(mvcc);
-    ++entry.pending.row_count;
   };
 
   auto apply = [&](const wal::LogRecord& record) -> Status {
@@ -182,7 +186,7 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
           HYRISE_NV_ASSIGN_OR_RETURN(
               const storage::ValueId id,
               entry->dicts[c].GetOrInsert(record.values[c]));
-          entry->pending.ids.push_back(id);
+          entry->ids[c].push_back(id);
         }
         stage(*entry, record);
         break;
@@ -199,10 +203,8 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
           if (record.value_ids[c] >= entry->dicts[c].size()) {
             return Status::Corruption("encoded id beyond dictionary");
           }
+          entry->ids[c].push_back(record.value_ids[c]);
         }
-        entry->pending.ids.insert(entry->pending.ids.end(),
-                                  record.value_ids.begin(),
-                                  record.value_ids.end());
         stage(*entry, record);
         break;
       }
@@ -225,19 +227,16 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
         }
         HYRISE_NV_ASSIGN_OR_RETURN(StagedTable * entry,
                                    staged_for(record.table_id));
-        const uint64_t base = entry->pending.base_delta_rows;
+        const uint64_t base = entry->base_delta_rows;
         // A row from the checkpoint is stamped in storage directly; a row
         // staged earlier in this scan gets the stamp folded into its
         // staged entry before it is appended.
         const bool checkpointed = record.loc.in_main || record.loc.row < base;
         storage::MvccEntry* mvcc = nullptr;
         if (checkpointed) {
-          const uint64_t rows = record.loc.in_main
-                                    ? entry->pending.table->main_row_count()
-                                    : base;
-          if (record.loc.row < rows) {
-            mvcc = entry->pending.table->mvcc(record.loc);
-          }
+          const uint64_t rows =
+              record.loc.in_main ? entry->table->main_row_count() : base;
+          if (record.loc.row < rows) mvcc = entry->table->mvcc(record.loc);
         } else if (record.loc.row - base < entry->mvcc.size()) {
           mvcc = &entry->mvcc[record.loc.row - base];
         }
@@ -291,18 +290,17 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
       }));
   tracer.End();
 
-  // Publish the staged dictionary values, then append the staged
-  // placeholder rows that reference them.
+  // Publish the staged dictionary values, then append the staged rows
+  // that reference them.
   tracer.Begin("reserve");
   for (StagedTable& entry : staged) {
     for (storage::DictionaryStage& dict : entry.dicts) {
       HYRISE_NV_RETURN_NOT_OK(dict.Publish());
     }
-    if (entry.pending.row_count == 0) continue;
+    if (entry.mvcc.empty()) continue;
     HYRISE_NV_RETURN_NOT_OK(
-        entry.pending.table->ReservePlaceholderRows(entry.mvcc));
-    report.deferred_rows += entry.pending.row_count;
-    index.tables.push_back(std::move(entry.pending));
+        entry.table->delta().BulkAppendRows(entry.ids, entry.mvcc));
+    report.replayed_rows += entry.mvcc.size();
   }
   tracer.End();
 
@@ -322,20 +320,6 @@ Status AnalyzeLog(alloc::PHeap& heap, storage::Catalog& catalog,
   if (max_tid + 1 > block->tid_block) {
     region.AtomicPersist64(&block->tid_block, max_tid + 1);
   }
-  return Status::OK();
-}
-
-Status RestorePendingRow(TablePending& pending, uint32_t ordinal) {
-  storage::Table* table = pending.table;
-  const uint64_t delta_row = pending.base_delta_rows + ordinal;
-  const size_t columns = table->schema().num_columns();
-  const storage::ValueId* ids = pending.ids.data() + ordinal * columns;
-  for (size_t c = 0; c < columns; ++c) {
-    HYRISE_NV_RETURN_NOT_OK(
-        table->delta().column(c).RestoreEncodedAt(delta_row, ids[c]));
-  }
-  // One fence for the row's flushed cells.
-  table->heap().region().Fence();
   return Status::OK();
 }
 

@@ -25,14 +25,13 @@ struct LogRecoveryReport {
   /// covers everything (an empty catalog before replay); a corrupt
   /// checkpoint whose data the log cannot reproduce stays an error.
   bool checkpoint_fallback = false;
-  /// Serve-during-recovery opens fill these instead of replay and
-  /// index_rebuild: the engine opens degraded after `analysis_seconds`
-  /// with the `deferred_rows` staged rows still placeholders; value
-  /// restoration and index builds happen on demand / in the background
-  /// drain.
+  /// Rows the log pass appended (both policies).
+  uint64_t replayed_rows = 0;
+  /// Serve-during-recovery opens fill `analysis_seconds` instead of
+  /// replay and index_rebuild: the engine opens after the same log pass
+  /// and builds the indexes in the background.
   bool on_demand = false;
   double analysis_seconds = 0;
-  uint64_t deferred_rows = 0;
   /// Prepared-but-undecided 2PC transactions found in the log (a kPrepare
   /// record with no following kCommit/kAbort for the same tid). The
   /// analysis pass leaves their effects invisible but claimed; the engine

@@ -25,14 +25,6 @@ Value DeltaColumn::GetValue(uint64_t row) const {
   return dict_.GetValue(attr_.Get(row));
 }
 
-Status DeltaColumn::RestoreEncodedAt(uint64_t row, ValueId id) {
-  if (id >= dict_.size()) {
-    return Status::Corruption("restored id beyond dictionary");
-  }
-  attr_.SetUnfenced(row, id);
-  return Status::OK();
-}
-
 void DeltaPartition::Format(nvm::PmemRegion& region, PTableGroup* group,
                             uint64_t num_columns) {
   alloc::PVector<MvccEntry>::Format(region, &group->delta_mvcc);
@@ -77,32 +69,18 @@ Result<uint64_t> DeltaPartition::AppendRow(const std::vector<Value>& row,
   return new_row;
 }
 
-Result<uint64_t> DeltaPartition::AppendEncodedRow(
-    const std::vector<ValueId>& ids, Tid tid) {
+Status DeltaPartition::BulkAppendRows(
+    const std::vector<std::vector<ValueId>>& ids,
+    const std::vector<MvccEntry>& entries) {
   if (ids.size() != columns_.size()) {
-    return Status::InvalidArgument("encoded row arity mismatch");
+    return Status::InvalidArgument("encoded rows arity mismatch");
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (ids[c] >= columns_[c].dictionary().size()) {
-      return Status::Corruption("encoded id beyond dictionary");
+    if (ids[c].size() != entries.size()) {
+      return Status::InvalidArgument("encoded column length mismatch");
     }
-    HYRISE_NV_RETURN_NOT_OK(columns_[c].AppendEncoded(ids[c]));
-  }
-  mvcc_.region()->Fence();
-  const uint64_t new_row = mvcc_.size();
-  MvccEntry entry;
-  entry.begin = kCidInfinity;
-  entry.end = kCidInfinity;
-  entry.tid = tid;
-  HYRISE_NV_RETURN_NOT_OK(mvcc_.Append(entry));
-  return new_row;
-}
-
-Status DeltaPartition::ReservePlaceholderRows(
-    const std::vector<MvccEntry>& entries) {
-  if (entries.empty()) return Status::OK();
-  for (auto& col : columns_) {
-    HYRISE_NV_RETURN_NOT_OK(col.ReservePlaceholders(entries.size()));
+    HYRISE_NV_RETURN_NOT_OK(
+        columns_[c].BulkAppendEncoded(ids[c].data(), ids[c].size()));
   }
   mvcc_.region()->Fence();
   return mvcc_.BulkAppend(entries.data(), entries.size());

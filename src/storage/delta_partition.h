@@ -36,30 +36,15 @@ class DeltaColumn {
   Value GetValue(uint64_t row) const;
   ValueId AttrAt(uint64_t row) const { return attr_.Get(row); }
 
-  /// Appends an already-encoded value id (dictionary-encoded log replay;
-  /// the caller guarantees the id exists in the dictionary).
-  Status AppendEncoded(ValueId id) {
-    HYRISE_NV_DCHECK(id < dict_.size(), "encoded id beyond dictionary");
-    return attr_.AppendUnfenced(id);
-  }
-
   const DeltaDictionary& dictionary() const { return dict_; }
   DeltaDictionary& dictionary() { return dict_; }
 
-  /// Appends `count` placeholder attribute entries holding the sentinel
-  /// kInvalidValueId, for rows staged by the on-demand recovery driver.
-  /// The sentinel can never equal a dictionary id, so scans skip
-  /// unrestored rows instead of mis-matching them.
-  Status ReservePlaceholders(uint64_t count) {
-    return attr_.AppendFill(kInvalidValueId, count);
+  /// Appends `count` already-encoded value ids with one copy and one
+  /// persist (log replay; the caller guarantees each id exists in the
+  /// dictionary).
+  Status BulkAppendEncoded(const ValueId* ids, uint64_t count) {
+    return attr_.BulkAppend(ids, count);
   }
-
-  /// Replaces the placeholder at `row` with an already-encoded id
-  /// (flushed, unfenced attribute overwrite: the caller fences once per
-  /// row, as AppendRow does; the id must already be in the dictionary —
-  /// the recovery analysis pass encodes every staged row so restores
-  /// never mutate dictionaries under concurrent readers).
-  Status RestoreEncodedAt(uint64_t row, ValueId id);
 
   uint64_t attr_size() const { return attr_.size(); }
 
@@ -98,14 +83,13 @@ class DeltaPartition {
   /// committed.
   Result<uint64_t> AppendRow(const std::vector<Value>& row, Tid tid);
 
-  /// Appends a dictionary-encoded row (log replay path).
-  Result<uint64_t> AppendEncodedRow(const std::vector<ValueId>& ids,
-                                    Tid tid);
-
-  /// Appends `entries.size()` placeholder rows whose MVCC state is
-  /// already final but whose attribute cells hold kInvalidValueId until
-  /// the on-demand recovery driver restores their values.
-  Status ReservePlaceholderRows(const std::vector<MvccEntry>& entries);
+  /// Appends `entries.size()` dictionary-encoded rows with their final
+  /// MVCC state (log replay): one bulk append per column, where
+  /// `ids[c][i]` is row i's id in column c, then a fence, then the MVCC
+  /// entries. The caller guarantees each id exists in its column's
+  /// dictionary.
+  Status BulkAppendRows(const std::vector<std::vector<ValueId>>& ids,
+                        const std::vector<MvccEntry>& entries);
 
   MvccEntry* mvcc(uint64_t row) {
     HYRISE_NV_DCHECK(row < mvcc_.size(), "mvcc row out of range");

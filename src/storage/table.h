@@ -64,20 +64,6 @@ class Table {
   /// Appends a new row owned by `tid` to the delta. Returns its location.
   Result<RowLocation> AppendRow(const std::vector<Value>& row, Tid tid);
 
-  /// Appends a dictionary-encoded row (log replay path).
-  Result<RowLocation> AppendEncodedRow(const std::vector<ValueId>& ids,
-                                       Tid tid) {
-    auto row_result = delta_.AppendEncodedRow(ids, tid);
-    if (!row_result.ok()) return row_result.status();
-    return RowLocation{false, *row_result};
-  }
-
-  /// Appends placeholder delta rows with final MVCC state; the on-demand
-  /// recovery driver fills in the values later.
-  Status ReservePlaceholderRows(const std::vector<MvccEntry>& entries) {
-    return delta_.ReservePlaceholderRows(entries);
-  }
-
   /// MVCC entry of a row.
   MvccEntry* mvcc(RowLocation loc) {
     return loc.in_main ? main_.mvcc(loc.row) : delta_.mvcc(loc.row);

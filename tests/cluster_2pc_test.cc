@@ -279,21 +279,20 @@ INSTANTIATE_TEST_SUITE_P(Modes, Engine2pcTest,
 
 /// The in-doubt scenario under serve-on-demand recovery. The log pass
 /// itself adopts prepared transactions, so the open stays on demand: the
-/// in-doubt inserts stay claimed placeholders, and the in-doubt deletes
+/// in-doubt inserts stay claimed and invisible, and the in-doubt deletes
 /// claim a checkpointed row and a row only the log holds.
 class Engine2pcOnDemandTest : public Engine2pcTest {
  protected:
   DatabaseOptions MakeOnDemandOptions() {
     DatabaseOptions options = MakeOptions();
     options.log_recovery = core::LogRecoveryPolicy::kServeOnDemand;
-    // One row per chunk with a pause: decisions land while degraded.
-    options.drain_chunk_rows = 1;
-    options.drain_pause_us = 50'000;
+    // A delay before the index build: decisions land while degraded.
+    options.drain_pause_us = 500'000;
     return options;
   }
 
   /// Delta rows still invisible (begin = ∞) under a live transaction's
-  /// claim: the placeholders of in-doubt inserts.
+  /// claim: the rows of in-doubt inserts.
   static size_t ClaimedInvisibleRows(Database* db, storage::Table* table) {
     size_t claimed = 0;
     for (uint64_t r = 0; r < table->delta_row_count(); ++r) {
@@ -397,7 +396,7 @@ TEST_P(Engine2pcOnDemandTest, InDoubtSurvivesCrashAndConvergesBothWays) {
     EXPECT_TRUE(CanDelete(db, t, 400));
   };
   expect_converged(recovered.get(), *rtable);
-  // The drain finishes and the deferred index serves the same answers.
+  // The build finishes and the deferred index serves the same answers.
   ASSERT_TRUE(recovered->WaitUntilRecovered(30'000).ok());
   expect_converged(recovered.get(), *rtable);
 

@@ -284,11 +284,12 @@ TEST(ProcessRestartTest, NvmOpenHashesNoDictionaryEntries) {
   std::filesystem::remove_all(dir, ec);
 }
 
-// Log replay writes no persistent dictionary entry per value: it stages
-// each column's new values in DRAM and publishes them in one bulk step,
-// so an eager reopen of a 50k-row log of distinct values makes fewer
-// persist calls than it replays rows (one per value would be 50k per
-// column).
+// Log replay writes no persistent dictionary entry per value and no
+// attribute cell per row: it stages each column's new values and ids in
+// DRAM and publishes each in one bulk step, so an eager reopen of a
+// 50k-row log of distinct values makes fewer persist calls and fences
+// than it replays rows (one per value would be 50k per column, one per
+// row 50k fences).
 TEST(ProcessRestartTest, WalOpenPersistsPerColumnNotPerValue) {
   constexpr int64_t kRows = 50'000;
   const auto value_of = [](int64_t k) {
@@ -314,10 +315,11 @@ TEST(ProcessRestartTest, WalOpenPersistsPerColumnNotPerValue) {
   auto db_result = Database::Open(options);
   ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
   auto& db = *db_result;
-  EXPECT_EQ(db->last_recovery_report().log.deferred_rows,
+  EXPECT_EQ(db->last_recovery_report().log.replayed_rows,
             static_cast<uint64_t>(kRows));
   EXPECT_LT(db->nvm_stats().persist_calls.load(),
             static_cast<uint64_t>(kRows));
+  EXPECT_LT(db->nvm_stats().fences.load(), static_cast<uint64_t>(kRows));
   storage::Table* table = *db->GetTable("kv");
   const auto& dict = table->delta().column(1).dictionary();
   EXPECT_EQ(dict.size(), static_cast<uint64_t>(kRows));

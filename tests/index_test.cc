@@ -140,9 +140,13 @@ TEST_F(IndexTest, SurvivesMergeViaGroupKey) {
 TEST_F(IndexTest, DeltaIndexRefusesRowsOutsideTheDictionary) {
   ASSERT_TRUE(indexes_->CreateIndex(0).ok());
   Insert(1, "one", 10);
-  // An on-demand placeholder row holds kInvalidValueId until restored:
-  // no dictionary id, so nothing to chain it under.
-  ASSERT_TRUE(table_->ReservePlaceholderRows({storage::MvccEntry{}}).ok());
+  // A cell holding kInvalidValueId (a corrupt row) has no dictionary id,
+  // so nothing to chain it under.
+  ASSERT_TRUE(table_->delta()
+                  .BulkAppendRows(
+                      {{storage::kInvalidValueId}, {storage::kInvalidValueId}},
+                      {storage::MvccEntry{}})
+                  .ok());
   const Status status = indexes_->OnInsert(
       {Value(int64_t{2}), Value(std::string("two"))}, 1);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();

@@ -1,10 +1,11 @@
-// Serve-during-recovery (DESIGN.md §13): on-demand log replay behind a
-// degraded serving state. These tests are all in-process (no fork), so
-// they run under TSan and cover the concurrency story: single-flight
-// per-key restoration racing the background drain, writes landing during
-// the degraded window, admin operations being shed, the corrupt-
-// checkpoint fallback signals, and a second crash while the drain is
-// still running.
+// Serve-during-recovery (DESIGN.md §13): an on-demand log open serves
+// right after the log pass, degraded while one background thread builds
+// the indexes. These tests are all in-process (no fork), so they run
+// under TSan and cover the concurrency story: readers racing the
+// background index build and its ready flip, values readable right after
+// the open, writes landing during the degraded window, admin operations
+// being shed, the corrupt-checkpoint fallback signals, and a second crash
+// while the build is still pending.
 
 #include <gtest/gtest.h>
 
@@ -54,17 +55,18 @@ void FlipByteInFile(const std::string& path, uint64_t offset,
 class OnDemandRecoveryTest
     : public ::testing::TestWithParam<DurabilityMode> {
  protected:
-  /// On-demand policy with a deliberately slow drain (tiny chunks, a
-  /// pause per chunk) so tests get a wide degraded window to poke at.
-  DatabaseOptions MakeOptions(const std::string& prefix) {
+  /// On-demand policy with a delay before the background index build,
+  /// so tests get a wide degraded window to poke at. Only an open with
+  /// an index to build is degraded.
+  DatabaseOptions MakeOptions(const std::string& prefix,
+                              uint64_t pause_us = 300'000) {
     DatabaseOptions options;
     options.mode = GetParam();
     options.region_size = 64 << 20;
     dir_ = MakeDataDir(prefix);
     options.data_dir = dir_;
     options.log_recovery = LogRecoveryPolicy::kServeOnDemand;
-    options.drain_chunk_rows = 16;
-    options.drain_pause_us = 2'000;
+    options.drain_pause_us = pause_us;
     return options;
   }
 
@@ -133,15 +135,13 @@ TEST_P(OnDemandRecoveryTest, DegradedScansMatchEagerState) {
   EXPECT_TRUE(recovered->last_recovery_report().recovered);
   EXPECT_TRUE(recovered->last_recovery_report().log.on_demand);
   ASSERT_EQ(recovered->serving_state(), ServingState::kServingDegraded)
-      << "slow drain should leave a degraded window";
+      << "the delayed index build should leave a degraded window";
 
   storage::Table* rtable = *recovered->GetTable("kv");
-  // MVCC state is fully rebuilt during analysis: counts are exact even
-  // while every value cell is still a placeholder.
   EXPECT_EQ(CountRows(rtable, recovered->ReadSnapshot(), storage::kTidNone),
             live);
 
-  // A point scan during the degraded window restores just that key.
+  // Point scans during the degraded window run index-free.
   for (const int k : {3, 0, 9}) {
     auto rows = recovered->ScanEqual(rtable, 0, Value(int64_t{k}),
                                      recovered->ReadSnapshot(),
@@ -154,7 +154,6 @@ TEST_P(OnDemandRecoveryTest, DegradedScansMatchEagerState) {
     }
   }
 
-  // Range scans restore the touched key range.
   auto range = recovered->ScanRange(rtable, 0, Value(int64_t{2}),
                                     Value(int64_t{5}),
                                     recovered->ReadSnapshot(),
@@ -164,16 +163,11 @@ TEST_P(OnDemandRecoveryTest, DegradedScansMatchEagerState) {
   for (int k = 2; k <= 5; ++k) expected_range += ExpectedForKey(kRows, k);
   EXPECT_EQ(range->size(), expected_range);
 
-  const auto mid_progress = recovered->recovery_progress();
-  EXPECT_GT(mid_progress.total_rows, 0u);
-  EXPECT_LE(mid_progress.restored_rows, mid_progress.total_rows);
-
   ASSERT_TRUE(recovered->WaitUntilRecovered(30'000).ok());
   EXPECT_EQ(recovered->serving_state(), ServingState::kReady);
-  EXPECT_TRUE(recovered->recovery_progress().drained);
   EXPECT_EQ(CountRows(rtable, recovered->ReadSnapshot(), storage::kTidNone),
             live);
-  // Same answers after the drain — nothing double-applied, nothing lost.
+  // Same answers through the built index.
   auto after = recovered->ScanEqual(rtable, 0, Value(int64_t{3}),
                                     recovered->ReadSnapshot(),
                                     storage::kTidNone);
@@ -185,6 +179,7 @@ TEST_P(OnDemandRecoveryTest, WritesLandDuringDegradedWindow) {
   auto options = MakeOptions("ondemand_writes");
   auto db = std::move(Database::Create(options)).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
   const int kRows = 600;
   const uint64_t live = LoadWorkload(db.get(), table, kRows);
 
@@ -194,15 +189,15 @@ TEST_P(OnDemandRecoveryTest, WritesLandDuringDegradedWindow) {
   ASSERT_EQ(recovered->serving_state(), ServingState::kServingDegraded);
 
   storage::Table* rtable = *recovered->GetTable("kv");
-  // New inserts while the drain is running.
+  // New inserts while the index build is pending.
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(recovered
                     ->InsertAutoCommit(rtable, {Value(int64_t{777}),
                                                 Value(std::string("new"))})
                     .ok());
   }
-  // Delete a recovered row mid-drain: the scan restores the key's rows
-  // on demand, then the delete stamps one of them.
+  // Delete a recovered row while degraded: an index-free scan finds the
+  // key's rows, then the delete stamps one of them.
   auto victims = recovered->ScanEqual(rtable, 0, Value(int64_t{4}),
                                       recovered->ReadSnapshot(),
                                       storage::kTidNone);
@@ -228,10 +223,13 @@ TEST_P(OnDemandRecoveryTest, WritesLandDuringDegradedWindow) {
   EXPECT_EQ(key4->size(), ExpectedForKey(kRows, 4) - 1);
 }
 
-TEST_P(OnDemandRecoveryTest, ConcurrentScansAreSingleFlight) {
-  auto options = MakeOptions("ondemand_concurrent");
+TEST_P(OnDemandRecoveryTest, ConcurrentScansRaceTheIndexBuild) {
+  // A short delay: readers start degraded and keep scanning across the
+  // build and the ready flip.
+  auto options = MakeOptions("ondemand_concurrent", /*pause_us=*/50'000);
   auto db = std::move(Database::Create(options)).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
   const int kRows = 800;
   LoadWorkload(db.get(), table, kRows);
 
@@ -241,14 +239,18 @@ TEST_P(OnDemandRecoveryTest, ConcurrentScansAreSingleFlight) {
   ASSERT_EQ(recovered->serving_state(), ServingState::kServingDegraded);
   storage::Table* rtable = *recovered->GetTable("kv");
 
-  // Readers hammer the same keys while the drain restores rows from the
-  // other end. Single-flight restoration means every scan sees exactly
-  // the expected rows — never zero, never doubled.
+  // Readers hammer the same keys while the index is built under them,
+  // then 20 more rounds once they have seen the flip. Every scan sees
+  // exactly the expected rows: index-free before the flip, through the
+  // index after it.
   std::vector<std::thread> readers;
   std::atomic<int> failures{0};
+  std::atomic<int> indexed_scans{0};
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&recovered, rtable, &failures] {
-      for (int round = 0; round < 20; ++round) {
+    readers.emplace_back([&] {
+      for (int rounds_after_flip = 0; rounds_after_flip < 20;) {
+        const bool ready =
+            recovered->serving_state() == ServingState::kReady;
         for (int k = 0; k < 10; ++k) {
           auto rows = recovered->ScanEqual(rtable, 0, Value(int64_t{k}),
                                            recovered->ReadSnapshot(),
@@ -257,22 +259,99 @@ TEST_P(OnDemandRecoveryTest, ConcurrentScansAreSingleFlight) {
             failures.fetch_add(1);
           }
         }
+        if (ready) {
+          ++rounds_after_flip;
+          indexed_scans.fetch_add(10);
+        }
       }
     });
   }
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(indexed_scans.load(), 4 * 20 * 10);
+  ASSERT_NE(recovered->indexes(rtable), nullptr);
+  EXPECT_TRUE(recovered->indexes(rtable)->HasIndex(0));
+}
 
-  ASSERT_TRUE(recovered->WaitUntilRecovered(30'000).ok());
-  const auto progress = recovered->recovery_progress();
-  EXPECT_EQ(progress.restored_rows, progress.total_rows)
-      << "double-applied restores would overshoot the total";
+// Every row holds its values as soon as the open returns, while the
+// index build still waits: the log pass appends real ids, so no cell is
+// filled in behind the first reads. Half the rows are deleted by a later
+// commit.
+TEST_P(OnDemandRecoveryTest, ValuesReadableRightAfterOpen) {
+  auto options = MakeOptions("ondemand_values");
+  constexpr int64_t kRows = 5'000;
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* table = *db->CreateTable("kv", KvSchema());
+    ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
+    std::vector<storage::RowLocation> locs;
+    for (int64_t i = 0; i < kRows;) {
+      auto tx = *db->Begin();
+      for (int j = 0; j < 500; ++j, ++i) {
+        auto loc = db->Insert(tx, table,
+                              {Value(i), Value("v" + std::to_string(i))});
+        ASSERT_TRUE(loc.ok()) << loc.status().ToString();
+        locs.push_back(*loc);
+      }
+      ASSERT_TRUE(db->Commit(tx).ok());
+    }
+    auto tx = *db->Begin();
+    for (int64_t i = 0; i < kRows; i += 2) {
+      ASSERT_TRUE(db->Delete(tx, table, locs[i]).ok());
+    }
+    ASSERT_TRUE(db->Commit(tx).ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+
+  auto db_result = Database::Open(options);
+  ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
+  auto& db = *db_result;
+  ASSERT_EQ(db->serving_state(), ServingState::kServingDegraded);
+  storage::Table* table = *db->GetTable("kv");
+  std::vector<int64_t> keys;
+  table->ForEachVisibleRow(
+      db->ReadSnapshot(), storage::kTidNone, [&](storage::RowLocation loc) {
+        for (size_t c = 0; c < 2; ++c) {
+          ASSERT_NE(table->delta().column(c).AttrAt(loc.row),
+                    storage::kInvalidValueId)
+              << "row " << loc.row << " column " << c;
+        }
+        const int64_t k = std::get<int64_t>(table->GetValue(loc, 0));
+        EXPECT_EQ(table->GetValue(loc, 1), Value("v" + std::to_string(k)));
+        keys.push_back(k);
+      });
+  EXPECT_EQ(db->serving_state(), ServingState::kServingDegraded)
+      << "the reads must run before the background build";
+  std::vector<int64_t> expected;
+  for (int64_t i = 1; i < kRows; i += 2) expected.push_back(i);
+  EXPECT_EQ(keys, expected);
+  ASSERT_TRUE(db->WaitUntilRecovered(30'000).ok());
+}
+
+// With no index to build, an on-demand open has nothing left for the
+// background: it opens ready.
+TEST_P(OnDemandRecoveryTest, OpenWithoutIndexesIsReady) {
+  auto options = MakeOptions("ondemand_noindex");
+  auto db = std::move(Database::Create(options)).ValueUnsafe();
+  storage::Table* table = *db->CreateTable("kv", KvSchema());
+  const uint64_t live = LoadWorkload(db.get(), table, 100);
+
+  auto recovered_result = Database::CrashAndRecover(std::move(db));
+  ASSERT_TRUE(recovered_result.ok()) << recovered_result.status().ToString();
+  auto& recovered = *recovered_result;
+  EXPECT_TRUE(recovered->last_recovery_report().log.on_demand);
+  EXPECT_EQ(recovered->serving_state(), ServingState::kReady);
+  EXPECT_TRUE(recovered->Checkpoint().ok());
+  storage::Table* rtable = *recovered->GetTable("kv");
+  EXPECT_EQ(CountRows(rtable, recovered->ReadSnapshot(), storage::kTidNone),
+            live);
 }
 
 TEST_P(OnDemandRecoveryTest, AdminOpsShedWhileDegraded) {
   auto options = MakeOptions("ondemand_admin");
   auto db = std::move(Database::Create(options)).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
   LoadWorkload(db.get(), table, 400);
 
   auto recovered_result = Database::CrashAndRecover(std::move(db));
@@ -280,8 +359,8 @@ TEST_P(OnDemandRecoveryTest, AdminOpsShedWhileDegraded) {
   auto& recovered = *recovered_result;
   ASSERT_EQ(recovered->serving_state(), ServingState::kServingDegraded);
 
-  // Structural operations would race the drain's placeholder rows (and a
-  // checkpoint would persist them); all shed with a retryable Aborted.
+  // Structural operations would race the background index build; all
+  // shed with a retryable Aborted.
   EXPECT_EQ(recovered->Checkpoint().code(), StatusCode::kAborted);
   EXPECT_EQ(recovered->Merge("kv").status().code(), StatusCode::kAborted);
   EXPECT_EQ(recovered->CreateIndex("kv", 1).code(), StatusCode::kAborted);
@@ -291,10 +370,11 @@ TEST_P(OnDemandRecoveryTest, AdminOpsShedWhileDegraded) {
   EXPECT_TRUE(recovered->CreateIndex("kv", 1).ok());
 }
 
-TEST_P(OnDemandRecoveryTest, SecondCrashDuringDrainRecovers) {
+TEST_P(OnDemandRecoveryTest, SecondCrashDuringIndexBuildRecovers) {
   auto options = MakeOptions("ondemand_doublecrash");
   auto db = std::move(Database::Create(options)).ValueUnsafe();
   storage::Table* table = *db->CreateTable("kv", KvSchema());
+  ASSERT_TRUE(db->CreateIndex("kv", 0).ok());
   const int kRows = 600;
   const uint64_t live = LoadWorkload(db.get(), table, kRows);
 
@@ -304,9 +384,9 @@ TEST_P(OnDemandRecoveryTest, SecondCrashDuringDrainRecovers) {
   ASSERT_EQ(recovered->serving_state(), ServingState::kServingDegraded);
   storage::Table* rtable = *recovered->GetTable("kv");
 
-  // Commit new work during the degraded window, then crash again while
-  // the drain is still live. Restores are never re-logged, so the second
-  // analysis pass starts from the same log plus the new commits.
+  // Commit new work during the degraded window, then crash again before
+  // the index build ran. The build logs nothing, so the second log pass
+  // starts from the same log plus the new commits.
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(recovered
                     ->InsertAutoCommit(rtable, {Value(int64_t{888}),

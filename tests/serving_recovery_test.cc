@@ -1,12 +1,12 @@
 // Serve-during-recovery under real SIGKILL, end to end through the wire
 // protocol (DESIGN.md §13): a forked server is killed mid-load, restarted
-// with on-demand recovery, queried while degraded, killed AGAIN while the
-// background drain is live, and restarted once more. The oracle is
+// with on-demand recovery, queried while degraded, killed AGAIN before
+// the background index build ran, and restarted once more. The oracle is
 // snapshot atomicity: every transaction commits 5 rows under one tag, so
 // after any number of crashes every visible tag must have exactly 0 or 5
 // rows — and every tag whose commit was acked must have exactly 5.
 //
-// Forked with live threads, so skipped under TSan; the same drain/crash
+// Forked with live threads, so skipped under TSan; the same build/crash
 // interleavings run in-process (TSan-clean) in recovery_driver_test.cc.
 
 #include <gtest/gtest.h>
@@ -151,11 +151,10 @@ TEST(ServingRecoveryTest, DoubleKillNineWhileServingDegraded) {
   ASSERT_EQ(::waitpid(first, &wstatus, 0), first);
   ASSERT_GT(acked.size(), 10u) << "load barely started before the kill";
 
-  // --- Server 2: on-demand restart with a slow drain; query while ---
-  // --- degraded, then SIGKILL again with the drain still running.  ---
+  // --- Server 2: on-demand restart with a delayed index build; query ---
+  // --- while degraded, then SIGKILL again before the build ran.      ---
   db_options.log_recovery = LogRecoveryPolicy::kServeOnDemand;
-  db_options.drain_chunk_rows = 16;
-  db_options.drain_pause_us = 10'000;
+  db_options.drain_pause_us = 2'000'000;
   const pid_t second = SpawnServer(db_options, port, /*create=*/false,
                                    dir + "/ready2");
 
@@ -168,12 +167,12 @@ TEST(ServingRecoveryTest, DoubleKillNineWhileServingDegraded) {
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_NE(info->find("\"serving_state\":\"degraded\""), std::string::npos)
       << *info;
-  // First query lands while the drain is live: on-demand restoration.
+  // First query lands while degraded: an index-free scan.
   const int64_t probe = *acked.begin();
   auto probe_scan = degraded_client.ScanEqual("tags", 0, Value(probe));
   ASSERT_TRUE(probe_scan.ok()) << probe_scan.status().ToString();
   EXPECT_EQ(probe_scan->rows.size(), static_cast<size_t>(kRowsPerTag));
-  // Nested crash: no clean shutdown, drain mid-flight.
+  // Nested crash: no clean shutdown, index build still pending.
   KillServer(second);
 
   // --- Server 3: recover from the double crash, audit the oracle. ---

@@ -14,8 +14,7 @@
 //   --idle-timeout-ms=N   close idle sessions (0 = never)     [60000]
 //   --region-size=BYTES   NVM region size for --create        [256 MiB]
 //   --recovery=POLICY     eager | on-demand (WAL modes)       [eager]
-//   --drain-chunk-rows=N  on-demand drain rows per lock hold  [4096]
-//   --drain-pause-us=N    on-demand drain pause per chunk     [0]
+//   --drain-pause-us=N    on-demand: delay before the index build [0]
 //   --slow-request-us=N   slow-request capture threshold, 0=off [100000]
 //   --timeline            run the phase-annotated timeline recorder
 //                         (exported via the stats opcode; nvtop's data)
@@ -32,10 +31,10 @@
 //
 // Readiness: once serving, a line "READY port=<port>" goes to stdout
 // (scripts and the e9 bench wait for it). An on-demand WAL open that
-// still has a recovery drain in flight prints
-// "RECOVERING-SERVING port=<port> pending_rows=<n>" first — the server
-// already answers queries (degraded, on-demand restoration) — and the
-// READY line follows when the drain completes.
+// still builds its indexes in the background prints
+// "RECOVERING-SERVING port=<port>" first — the server already answers
+// queries (degraded: every row is in place, scans run index-free) — and
+// the READY line follows when the build completes.
 
 #include <signal.h>
 
@@ -81,8 +80,8 @@ int Usage() {
                "[--create] [--host=ADDR] [--port=N] [--workers=N] "
                "[--max-connections=N] [--max-inflight=N] "
                "[--idle-timeout-ms=N] [--region-size=BYTES] "
-               "[--recovery=eager|on-demand] [--drain-chunk-rows=N] "
-               "[--drain-pause-us=N] [--slow-request-us=N] [--timeline] "
+               "[--recovery=eager|on-demand] [--drain-pause-us=N] "
+               "[--slow-request-us=N] [--timeline] "
                "[--timeline-interval-ms=N] [--timeline-capacity=N] "
                "[--quiet]\n");
   return 1;
@@ -122,8 +121,6 @@ int main(int argc, char** argv) {
       server_options.idle_timeout_ms = static_cast<int>(n);
     } else if (ParseFlag(arg, "--region-size", &n)) {
       db_options.region_size = static_cast<uint64_t>(n);
-    } else if (ParseFlag(arg, "--drain-chunk-rows", &n)) {
-      db_options.drain_chunk_rows = static_cast<uint64_t>(n);
     } else if (ParseFlag(arg, "--drain-pause-us", &n)) {
       db_options.drain_pause_us = static_cast<uint64_t>(n);
     } else if (ParseFlag(arg, "--slow-request-us", &n)) {
@@ -212,11 +209,7 @@ int main(int argc, char** argv) {
 
   bool announced_ready = false;
   if (db->serving_state() == core::ServingState::kServingDegraded) {
-    const auto progress = db->recovery_progress();
-    std::printf("RECOVERING-SERVING port=%u pending_rows=%llu\n",
-                server->port(),
-                static_cast<unsigned long long>(progress.total_rows -
-                                                progress.restored_rows));
+    std::printf("RECOVERING-SERVING port=%u\n", server->port());
   } else {
     std::printf("READY port=%u\n", server->port());
     announced_ready = true;
@@ -226,7 +219,7 @@ int main(int argc, char** argv) {
   while (!g_stop.load() && !server->draining()) {
     if (!announced_ready &&
         db->serving_state() == core::ServingState::kReady) {
-      // The recovery drain finished while serving: promote to READY so
+      // The index build finished while serving: promote to READY so
       // scripts waiting on the line see the flip.
       std::printf("READY port=%u\n", server->port());
       std::fflush(stdout);

@@ -9,8 +9,8 @@
 //   ping
 //   stats
 //   recovery
-//   wait-ready [TIMEOUT_MS]    block until the server finished its
-//                              recovery drain (prints drain progress)
+//   wait-ready [TIMEOUT_MS]    block until the server finished the
+//                              index build of an on-demand recovery
 //   checkpoint
 //   drain
 //   create-table NAME COL:TYPE [COL:TYPE...]     TYPE = int|double|string
@@ -187,30 +187,12 @@ int RunCommand(net::Client& client, const std::vector<std::string>& args,
     return 0;
   }
   if (cmd == "wait-ready") {
-    const long long timeout_ms =
-        args.size() >= 2 ? std::atoll(args[1].c_str()) : 60'000;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      auto info_result = client.RecoveryInfo();
-      if (!info_result.ok()) return fail(info_result.status());
-      if (info_result->find("\"serving_state\":\"degraded\"") ==
-          std::string::npos) {
-        std::printf("ready\n");
-        return 0;
-      }
-      double percent = 0;
-      const size_t at = info_result->find("\"percent\":");
-      if (at != std::string::npos) {
-        percent = std::strtod(info_result->c_str() + at + 10, nullptr);
-      }
-      std::fprintf(stderr, "server warming, %.0f%% drained\n", percent);
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return fail(
-            Status::Aborted("timed out waiting for the recovery drain"));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+    const int timeout_ms =
+        args.size() >= 2 ? std::atoi(args[1].c_str()) : 60'000;
+    Status status = client.WaitUntilReady(timeout_ms, /*poll_ms=*/100);
+    if (!status.ok()) return fail(status);
+    std::printf("ready\n");
+    return 0;
   }
   if (cmd == "checkpoint") {
     Status status = client.Checkpoint();
