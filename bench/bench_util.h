@@ -51,9 +51,10 @@ inline core::DatabaseOptions EngineOptions(core::DurabilityMode mode,
   options.mode = mode;
   options.region_size = region_size;
   options.data_dir = dir;
-  // Benchmarks run without the shadow (kNone): CrashAndRecover for WAL
-  // modes works via device truncation; for kNvm the benchmarks that need
-  // in-process crashes opt back into kShadow explicitly.
+  // The shadow (kShadow) is the default here, so kNvm benchmarks can
+  // CrashAndRecover in process (WAL modes crash by device truncation).
+  // The throughput and latency benches set kNone themselves: the shadow
+  // copies every persisted line.
   options.tracking = nvm::TrackingMode::kShadow;
   options.nvm_latency = mode == core::DurabilityMode::kNvm
                             ? nvm::NvmLatencyModel::DefaultNvm()

@@ -302,7 +302,9 @@ Result<uint64_t> PAllocator::AllocSize(uint64_t payload_offset) const {
 }
 
 uint64_t PAllocator::HeapUsedBytes() const {
-  return meta()->heap_top - HeapBeginOffset();
+  // Atomic: a metrics thread reads it while Allocate raises it.
+  return __atomic_load_n(&meta()->heap_top, __ATOMIC_RELAXED) -
+         HeapBeginOffset();
 }
 
 }  // namespace hyrise_nv::alloc

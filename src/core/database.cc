@@ -64,13 +64,14 @@ Status AdoptInDoubt(const recovery::LogRecoveryReport& report,
 
 }  // namespace
 
-nvm::PmemRegionOptions Database::MakeRegionOptions() const {
+nvm::PmemRegionOptions Database::MakeRegionOptions(
+    const DatabaseOptions& options) {
   nvm::PmemRegionOptions region_options;
-  if (options_.mode == DurabilityMode::kNvm) {
-    region_options.latency = options_.nvm_latency;
-    region_options.tracking = options_.tracking;
-    if (!options_.data_dir.empty()) {
-      region_options.file_path = options_.NvmImagePath();
+  if (options.mode == DurabilityMode::kNvm) {
+    region_options.latency = options.nvm_latency;
+    region_options.tracking = options.tracking;
+    if (!options.data_dir.empty()) {
+      region_options.file_path = options.NvmImagePath();
     }
   } else {
     // WAL / no-durability engines keep table structures in DRAM: an
@@ -84,10 +85,10 @@ nvm::PmemRegionOptions Database::MakeRegionOptions() const {
 }
 
 Result<std::unique_ptr<Database>> Database::CreateFresh(
-    const DatabaseOptions& options, bool open_existing_log) {
+    const DatabaseOptions& options,
+    const nvm::PmemRegionOptions& region_options, bool open_existing_log) {
   auto db = std::unique_ptr<Database>(new Database(options));
-  auto heap_result =
-      alloc::PHeap::Create(options.region_size, db->MakeRegionOptions());
+  auto heap_result = alloc::PHeap::Create(options.region_size, region_options);
   if (!heap_result.ok()) return heap_result.status();
   db->heap_ = std::move(heap_result).ValueUnsafe();
 
@@ -116,7 +117,8 @@ Result<std::unique_ptr<Database>> Database::Create(
   if (options.uses_wal() && options.data_dir.empty()) {
     return Status::InvalidArgument("WAL modes need a data_dir");
   }
-  auto db_result = CreateFresh(options, /*open_existing_log=*/false);
+  auto db_result = CreateFresh(options, MakeRegionOptions(options),
+                               /*open_existing_log=*/false);
   if (!db_result.ok()) return db_result;
   (*db_result)->recovery_.mode = options.mode;
   (*db_result)->recovery_.recovered = false;
@@ -134,7 +136,7 @@ Result<std::unique_ptr<Database>> Database::Open(
     }
     auto db = std::unique_ptr<Database>(new Database(options));
     recovery::NvmRestartOptions restart_options;
-    restart_options.region = db->MakeRegionOptions();
+    restart_options.region = MakeRegionOptions(options);
     restart_options.level = options.open_mode == OpenMode::kNormal
                                 ? recovery::ValidationLevel::kFastHeaderOnly
                                 : recovery::ValidationLevel::kDeep;
@@ -168,7 +170,8 @@ Result<std::unique_ptr<Database>> Database::Open(
   }
 
   if (options.uses_wal()) {
-    auto db_result = CreateFresh(options, /*open_existing_log=*/true);
+    auto db_result = CreateFresh(options, MakeRegionOptions(options),
+                                 /*open_existing_log=*/true);
     if (!db_result.ok()) return db_result;
     auto& db = *db_result;
     HYRISE_NV_RETURN_NOT_OK(db->RecoverFromWal(
@@ -201,21 +204,13 @@ Result<std::unique_ptr<Database>> Database::OpenViaLogFallback(
   recovery::LogRecoveryReport log_report;
   tracer.Begin("rebuild_image");
   {
-    nvm::PmemRegionOptions region_options;
-    region_options.latency = options.nvm_latency;
+    nvm::PmemRegionOptions region_options = MakeRegionOptions(options);
     region_options.tracking = nvm::TrackingMode::kNone;
     region_options.file_path = rebuild_path;
-    auto scratch = std::unique_ptr<Database>(new Database(options));
-    auto heap_result =
-        alloc::PHeap::Create(options.region_size, region_options);
-    if (!heap_result.ok()) return heap_result.status();
-    scratch->heap_ = std::move(heap_result).ValueUnsafe();
-    auto catalog_result = storage::Catalog::Format(*scratch->heap_);
-    if (!catalog_result.ok()) return catalog_result.status();
-    scratch->catalog_ = std::move(catalog_result).ValueUnsafe();
-    auto txn_result = txn::TxnManager::Format(*scratch->heap_);
-    if (!txn_result.ok()) return txn_result.status();
-    scratch->txn_manager_ = std::move(txn_result).ValueUnsafe();
+    // An NVM-mode database: formatted without a log manager.
+    HYRISE_NV_ASSIGN_OR_RETURN(
+        auto scratch,
+        CreateFresh(options, region_options, /*open_existing_log=*/false));
     // Eager recovery into the scratch image, in-doubt 2PC transactions
     // included: the log is retired below, so the image alone must carry
     // their prepared slots for the re-open to adopt.
@@ -399,6 +394,23 @@ Status Database::EnsureNotDegraded(const char* what) const {
                          "index build in progress");
 }
 
+Status Database::BuildIndex(storage::Table* table, size_t column,
+                            storage::PIndexKind kind) {
+  index::IndexSet* set = indexes(table);
+  HYRISE_NV_CHECK(set != nullptr, "table without index set");
+  // The build reads every delta row: the same lock as Insert, so a row
+  // lands either before the build (the build sees it) or after (OnInsert
+  // sees the bound index).
+  std::lock_guard<std::mutex> write_guard(table->write_mutex());
+  HYRISE_NV_RETURN_NOT_OK(set->CreateIndexOfKind(column, kind));
+  // Build the main side too if a main partition already exists.
+  if (table->main_row_count() > 0) {
+    HYRISE_NV_RETURN_NOT_OK(storage::BuildMainGroupKey(*table, column));
+    HYRISE_NV_RETURN_NOT_OK(set->Attach());
+  }
+  return Status::OK();
+}
+
 Status Database::BuildDeferredIndexes() {
   for (const auto& indexed : deferred_indexes_) {
     if (stop_index_build_.load(std::memory_order_acquire)) {
@@ -406,21 +418,12 @@ Status Database::BuildDeferredIndexes() {
     }
     auto table_result = catalog_->GetTable(indexed.table);
     if (!table_result.ok()) return table_result.status();
-    storage::Table* table = *table_result;
-    index::IndexSet* set = indexes(table);
-    HYRISE_NV_CHECK(set != nullptr, "table without index set");
-    // Same lock as Insert: rows appended while degraded either land
-    // before the build (the build sees them) or after (OnInsert sees the
-    // bound index).
-    std::lock_guard<std::mutex> write_guard(table->write_mutex());
-    if (set->HasIndex(indexed.column)) continue;
-    HYRISE_NV_RETURN_NOT_OK(set->CreateIndexOfKind(
-        indexed.column, static_cast<storage::PIndexKind>(indexed.kind)));
-    if (table->main_row_count() > 0) {
-      HYRISE_NV_RETURN_NOT_OK(
-          storage::BuildMainGroupKey(*table, indexed.column));
-      HYRISE_NV_RETURN_NOT_OK(set->Attach());
-    }
+    // No other thread adds an index meanwhile: CreateIndex waits for the
+    // build (EnsureNotDegraded).
+    if (indexes(*table_result)->HasIndex(indexed.column)) continue;
+    HYRISE_NV_RETURN_NOT_OK(
+        BuildIndex(*table_result, indexed.column,
+                   static_cast<storage::PIndexKind>(indexed.kind)));
   }
   deferred_indexes_.clear();
   return Status::OK();
@@ -541,17 +544,7 @@ Status Database::CreateIndex(const std::string& table_name, size_t column,
   HYRISE_NV_RETURN_NOT_OK(EnsureWritable());
   auto table_result = catalog_->GetTable(table_name);
   if (!table_result.ok()) return table_result.status();
-  index::IndexSet* set = indexes(*table_result);
-  HYRISE_NV_CHECK(set != nullptr, "table without index set");
-  // The build reads every delta row: no insert may land beside it.
-  std::lock_guard<std::mutex> write_guard((*table_result)->write_mutex());
-  HYRISE_NV_RETURN_NOT_OK(set->CreateIndexOfKind(column, kind));
-  // Build the main side too if a main partition already exists.
-  if ((*table_result)->main_row_count() > 0) {
-    HYRISE_NV_RETURN_NOT_OK(
-        storage::BuildMainGroupKey(**table_result, column));
-    HYRISE_NV_RETURN_NOT_OK(set->Attach());
-  }
+  HYRISE_NV_RETURN_NOT_OK(BuildIndex(*table_result, column, kind));
   if (log_manager_ != nullptr) {
     Status log_status = log_manager_->LogCreateIndex(
         (*table_result)->id(), static_cast<uint32_t>(column),

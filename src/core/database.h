@@ -222,8 +222,12 @@ class Database {
   explicit Database(DatabaseOptions options)
       : options_(std::move(options)) {}
 
+  /// A database on a freshly formatted heap in a region made with
+  /// `region_options` (catalog, transaction manager, and the log manager
+  /// of a WAL mode).
   static Result<std::unique_ptr<Database>> CreateFresh(
-      const DatabaseOptions& options, bool open_existing_log);
+      const DatabaseOptions& options,
+      const nvm::PmemRegionOptions& region_options, bool open_existing_log);
   /// NVM image failed verification but a WAL exists: rebuild the image
   /// from checkpoint + log into a scratch file, atomically swap it in,
   /// retire the log, and re-open.
@@ -245,11 +249,16 @@ class Database {
   Status BindRestart(recovery::NvmRestartResult restart,
                      obs::SpanTracer& tracer);
   Status AttachAllIndexSets();
-  nvm::PmemRegionOptions MakeRegionOptions() const;
+  static nvm::PmemRegionOptions MakeRegionOptions(
+      const DatabaseOptions& options);
   Status EnsureWritable() const;
   /// Refuses maintenance/DDL (`what`) while serving degraded: deferred
   /// indexes are still being built, so these wait for the build.
   Status EnsureNotDegraded(const char* what) const;
+  /// Creates a `kind` index on `column` of `table` and builds its main
+  /// side, under the table's write lock.
+  Status BuildIndex(storage::Table* table, size_t column,
+                    storage::PIndexKind kind);
   /// Builds every index the checkpoint and log recorded, once the log
   /// pass has appended every row: inline in an eager open, or on the
   /// background thread of an on-demand one. Stops between indexes with

@@ -74,10 +74,8 @@ Result<std::vector<RowLocation>> ScanRange(Table* table, size_t column,
   }
   const uint64_t delta_rows = table->delta_row_count();
   for (uint64_t r = 0; r < delta_rows; ++r) {
-    // Rows staged by on-demand recovery carry kInvalidValueId until
-    // restored; the bound check keeps them out of the mask (and the mask
-    // lookup in bounds). Degraded scans restore every in-range row before
-    // reaching here, so skipping the sentinel never drops a match.
+    // The bound check keeps the mask lookup in bounds for an id the
+    // dictionary snapshot above does not cover.
     const ValueId id = delta_col.AttrAt(r);
     if (id < dict_size && matches[id] &&
         IsVisible(*table->delta().mvcc(r), snapshot, tid)) {

@@ -195,17 +195,9 @@ Result<std::vector<uint64_t>> Client::InDoubt() {
   auto body_result = Call(Opcode::kInDoubt, payload);
   if (!body_result.ok()) return body_result.status();
   WireReader reader(body_result->data(), body_result->size());
-  const uint32_t count = reader.U32();
-  std::vector<uint64_t> gtids;
-  // The count comes from the peer: never reserve past what the frame
-  // can hold.
-  gtids.reserve(std::min<size_t>(count, reader.remaining() / 8));
-  for (uint32_t i = 0; i < count && reader.ok(); ++i) {
-    gtids.push_back(reader.U64());
-  }
-  if (!reader.ok() || gtids.size() != count) {
-    return Status::IOError("truncated in_doubt response");
-  }
+  std::vector<uint64_t> gtids(reader.Count(reader.U32(), sizeof(uint64_t)));
+  for (auto& gtid : gtids) gtid = reader.U64();
+  if (!reader.ok()) return Status::IOError("truncated in_doubt response");
   return gtids;
 }
 

@@ -899,8 +899,8 @@ class ServerImpl {
         dispatch_end_ticks = FastClock::NowTicks();
       } else if (ShedWhileWarming(op, inflight, &response)) {
         // Degraded serving: a tighter cap applied to engine-touching
-        // ops; `response` already carries the kWarming rejection with
-        // the drain progress.
+        // ops; `response` already carries the retryable kWarming
+        // rejection.
         dispatch_end_ticks = FastClock::NowTicks();
       } else {
         inflight_gauge_.Set(inflight + 1);

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/crc32.h"
 
@@ -111,87 +112,6 @@ const char* WireCodeName(WireCode code) {
     default:
       return StatusCodeName(static_cast<StatusCode>(code));
   }
-}
-
-void WireWriter::Value(const storage::Value& v) {
-  if (const auto* i = std::get_if<int64_t>(&v)) {
-    U8(1);
-    U64(static_cast<uint64_t>(*i));
-  } else if (const auto* d = std::get_if<double>(&v)) {
-    U8(2);
-    F64(*d);
-  } else {
-    U8(3);
-    Str(std::get<std::string>(v));
-  }
-}
-
-void WireWriter::Row(const std::vector<storage::Value>& row) {
-  U16(static_cast<uint16_t>(row.size()));
-  for (const auto& v : row) Value(v);
-}
-
-void WireWriter::DmlBody(uint8_t kind, const std::string& table,
-                         storage::RowLocation loc,
-                         const std::vector<storage::Value>& row) {
-  Str(table);
-  if (kind != DmlOp::kInsert) Loc(loc);
-  if (kind != DmlOp::kDelete) Row(row);
-}
-
-std::string WireReader::Str() {
-  const uint32_t n = U32();
-  if (error_ || len_ - pos_ < n) {
-    error_ = true;
-    return std::string();
-  }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-storage::Value WireReader::Value() {
-  switch (U8()) {
-    case 1:
-      return storage::Value(static_cast<int64_t>(U64()));
-    case 2:
-      return storage::Value(F64());
-    case 3:
-      return storage::Value(Str());
-    default:
-      error_ = true;
-      return storage::Value(int64_t{0});
-  }
-}
-
-std::vector<storage::Value> WireReader::Row() {
-  const uint16_t n = U16();
-  std::vector<storage::Value> row;
-  // A malicious count cannot make us allocate past the frame: each value
-  // is at least 2 bytes on the wire, so cap the reserve by what is left.
-  if (error_ || n > remaining()) {
-    error_ = true;
-    return row;
-  }
-  row.reserve(n);
-  for (uint16_t i = 0; i < n && !error_; ++i) row.push_back(Value());
-  return row;
-}
-
-DmlOp WireReader::DmlBody(uint8_t kind) {
-  DmlOp op;
-  op.kind = kind;
-  op.table = Str();
-  if (kind != DmlOp::kInsert) op.loc = Loc();
-  if (kind != DmlOp::kDelete) op.row = Row();
-  return op;
-}
-
-DmlOp WireReader::BatchOp() {
-  const uint8_t kind = U8();
-  if (!IsDmlKind(kind)) error_ = true;
-  if (error_) return DmlOp();
-  return DmlBody(kind);
 }
 
 uint32_t EncodeFrameHeader(uint16_t version, uint32_t tag,

@@ -2,10 +2,10 @@
 #define HYRISE_NV_NET_WIRE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 #include "storage/types.h"
 
@@ -174,22 +174,18 @@ const char* WireCodeName(WireCode code);
 
 // --- Serialization primitives ---------------------------------------------
 
-/// Append-only little-endian encoder over a byte vector.
-class WireWriter {
+/// The wire's encoder: the shared byte codec (common/byte_codec.h) plus
+/// the wire's own row location, row and DML op layouts. Values use the
+/// one tagged encoding (storage::EncodeValue).
+class WireWriter : public ByteWriter {
  public:
-  explicit WireWriter(std::vector<uint8_t>* out) : out_(out) {}
+  using ByteWriter::ByteWriter;
 
-  void U8(uint8_t v) { out_->push_back(v); }
-  void U16(uint16_t v) { Raw(&v, sizeof(v)); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
+  void Value(const storage::Value& v) { storage::EncodeValue(v, *this); }
+  void Row(const std::vector<storage::Value>& row) {
+    U16(static_cast<uint16_t>(row.size()));
+    for (const auto& v : row) Value(v);
   }
-  void Value(const storage::Value& v);
-  void Row(const std::vector<storage::Value>& row);
   void Loc(storage::RowLocation loc) {
     U8(loc.in_main ? 1 : 0);
     U64(loc.row);
@@ -200,54 +196,31 @@ class WireWriter {
   /// copies its row into a DmlOp just to encode it.
   void DmlBody(uint8_t kind, const std::string& table,
                storage::RowLocation loc,
-               const std::vector<storage::Value>& row);
+               const std::vector<storage::Value>& row) {
+    Str(table);
+    if (kind != DmlOp::kInsert) Loc(loc);
+    if (kind != DmlOp::kDelete) Row(row);
+  }
   void DmlBody(const DmlOp& op) {
     DmlBody(op.kind, op.table, op.loc, op.row);
   }
-
- private:
-  void Raw(const void* data, size_t len) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    out_->insert(out_->end(), bytes, bytes + len);
-  }
-  std::vector<uint8_t>* out_;
 };
 
-/// Bounds-checked little-endian decoder. Any out-of-bounds read latches
-/// the error flag and returns zero values; callers check ok() once at the
-/// end instead of after every field. Never reads past the buffer.
-class WireReader {
+/// The wire's decoder: the shared bounds-checked, error-latching reader
+/// plus the wire's own layouts. A count it reads is bounded by the bytes
+/// left (ByteReader::Count).
+class WireReader : public ByteReader {
  public:
-  WireReader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
+  using ByteReader::ByteReader;
 
-  uint8_t U8() {
-    uint8_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
+  storage::Value Value() { return storage::DecodeValue(*this); }
+  std::vector<storage::Value> Row() {
+    const uint64_t n = Count(U16());
+    std::vector<storage::Value> row;
+    row.reserve(n);
+    for (uint64_t i = 0; i < n && ok(); ++i) row.push_back(Value());
+    return row;
   }
-  uint16_t U16() {
-    uint16_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  double F64() {
-    double v = 0;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  std::string Str();
-  storage::Value Value();
-  std::vector<storage::Value> Row();
   storage::RowLocation Loc() {
     storage::RowLocation loc;
     loc.in_main = U8() != 0;
@@ -255,29 +228,22 @@ class WireReader {
     return loc;
   }
   /// The DML op body WireWriter::DmlBody writes, for an op of `kind`.
-  DmlOp DmlBody(uint8_t kind);
+  DmlOp DmlBody(uint8_t kind) {
+    DmlOp op;
+    op.kind = kind;
+    op.table = Str();
+    if (kind != DmlOp::kInsert) op.loc = Loc();
+    if (kind != DmlOp::kDelete) op.row = Row();
+    return op;
+  }
   /// One kDmlBatch op: [u8 kind] + body. An unknown kind latches the
   /// error.
-  DmlOp BatchOp();
-
-  bool ok() const { return !error_; }
-  /// True when the whole buffer was consumed and no read overran.
-  bool Exhausted() const { return ok() && pos_ == len_; }
-  size_t remaining() const { return len_ - pos_; }
-
- private:
-  void Raw(void* out, size_t n) {
-    if (error_ || len_ - pos_ < n) {
-      error_ = true;
-      return;
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
+  DmlOp BatchOp() {
+    const uint8_t kind = U8();
+    if (!IsDmlKind(kind)) Fail();
+    if (!ok()) return DmlOp();
+    return DmlBody(kind);
   }
-  const uint8_t* data_;
-  size_t len_;
-  size_t pos_ = 0;
-  bool error_ = false;
 };
 
 // --- Framing --------------------------------------------------------------

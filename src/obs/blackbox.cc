@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "common/crc32.h"
 #include "common/json.h"
@@ -42,6 +43,30 @@ uint64_t WallClockNanos() {
 uint32_t EventCrc(const BlackboxEvent& ev) {
   return MaskCrc(
       Crc32c(&ev, kBlackboxSlotSize - sizeof(uint32_t)));
+}
+
+// Any thread records into the live rings while the timeline decodes
+// them, so a slot is copied a word at a time with relaxed atomics: a
+// slot read mid-write fails its CRC and is dropped, and is never a data
+// race.
+void StoreEvent(BlackboxEvent* slot, const BlackboxEvent& ev) {
+  uint64_t words[kBlackboxSlotSize / sizeof(uint64_t)];
+  std::memcpy(words, &ev, sizeof(ev));
+  auto* dst = reinterpret_cast<uint64_t*>(slot);
+  for (size_t i = 0; i < std::size(words); ++i) {
+    __atomic_store_n(&dst[i], words[i], __ATOMIC_RELAXED);
+  }
+}
+
+BlackboxEvent LoadEvent(const uint8_t* slot) {
+  uint64_t words[kBlackboxSlotSize / sizeof(uint64_t)];
+  const auto* src = reinterpret_cast<const uint64_t*>(slot);
+  for (size_t i = 0; i < std::size(words); ++i) {
+    words[i] = __atomic_load_n(&src[i], __ATOMIC_RELAXED);
+  }
+  BlackboxEvent ev;
+  std::memcpy(&ev, words, sizeof(ev));
+  return ev;
 }
 
 std::atomic<BlackboxWriter*> g_current{nullptr};
@@ -280,10 +305,10 @@ void BlackboxWriter::RecordImpl(BlackboxEventType type, uint64_t a,
   ev.type = static_cast<uint16_t>(type);
   ev.ring = static_cast<uint16_t>(cache.ring);
   ev.crc = EventCrc(ev);
-  // Plain stores: one cache line, sealed by the CRC written with it. A
-  // torn overwrite (crash mid-wrap) fails the CRC and is dropped at
-  // decode — never accepted.
-  std::memcpy(slot, &ev, sizeof(ev));
+  // One cache line, sealed by the CRC written with it. A torn overwrite
+  // (crash mid-wrap, or a decode racing this store) fails the CRC and is
+  // dropped at decode — never accepted.
+  StoreEvent(slot, ev);
 
   // Amortised durability for the strict shadow crash model: every
   // flush_every_ claims per ring, flush+fence the window just filled.
@@ -373,8 +398,7 @@ BlackboxDecodeResult DecodeBlackbox(const uint8_t* base,
       result.geometry.ring_count * result.geometry.slots_per_ring;
   result.events.reserve(256);
   for (uint64_t i = 0; i < total_slots; ++i) {
-    BlackboxEvent ev;
-    std::memcpy(&ev, slots + i * kBlackboxSlotSize, sizeof(ev));
+    const BlackboxEvent ev = LoadEvent(slots + i * kBlackboxSlotSize);
     if (ev.seqno == 0 && ev.type == 0 && ev.crc == 0) {
       ++result.empty_slots;
       continue;

@@ -1,6 +1,5 @@
 #include "storage/schema.h"
 
-#include <cstring>
 #include <unordered_set>
 
 namespace hyrise_nv::storage {
@@ -27,6 +26,32 @@ bool ValueMatchesType(const Value& value, DataType type) {
       return std::holds_alternative<std::string>(value);
   }
   return false;
+}
+
+void EncodeValue(const Value& value, ByteWriter& out) {
+  if (const auto* i = std::get_if<int64_t>(&value)) {
+    out.U8(static_cast<uint8_t>(DataType::kInt64));
+    out.U64(static_cast<uint64_t>(*i));
+  } else if (const auto* d = std::get_if<double>(&value)) {
+    out.U8(static_cast<uint8_t>(DataType::kDouble));
+    out.F64(*d);
+  } else {
+    out.U8(static_cast<uint8_t>(DataType::kString));
+    out.Str(std::get<std::string>(value));
+  }
+}
+
+Value DecodeValue(ByteReader& in) {
+  switch (static_cast<DataType>(in.U8())) {
+    case DataType::kInt64:
+      return Value(static_cast<int64_t>(in.U64()));
+    case DataType::kDouble:
+      return Value(in.F64());
+    case DataType::kString:
+      return Value(in.Str());
+  }
+  in.Fail();
+  return Value(int64_t{0});
 }
 
 Result<Schema> Schema::Make(std::vector<ColumnDef> columns) {
@@ -77,45 +102,26 @@ Status Schema::CheckRow(const std::vector<Value>& row) const {
 }
 
 std::vector<uint8_t> Schema::Serialize() const {
-  std::vector<uint8_t> out;
-  auto put_u32 = [&out](uint32_t v) {
-    const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    out.insert(out.end(), p, p + 4);
-  };
-  put_u32(static_cast<uint32_t>(columns_.size()));
+  std::vector<uint8_t> bytes;
+  ByteWriter out(&bytes);
+  out.U32(static_cast<uint32_t>(columns_.size()));
   for (const auto& col : columns_) {
-    put_u32(static_cast<uint32_t>(col.type));
-    put_u32(static_cast<uint32_t>(col.name.size()));
-    out.insert(out.end(), col.name.begin(), col.name.end());
+    out.U32(static_cast<uint32_t>(col.type));
+    out.Str(col.name);
   }
-  return out;
+  return bytes;
 }
 
 Result<Schema> Schema::Deserialize(const uint8_t* data, size_t len) {
-  size_t pos = 0;
-  auto get_u32 = [&](uint32_t* v) -> bool {
-    if (pos + 4 > len) return false;
-    std::memcpy(v, data + pos, 4);
-    pos += 4;
-    return true;
-  };
-  uint32_t ncols = 0;
-  if (!get_u32(&ncols)) {
-    return Status::Corruption("schema blob truncated (column count)");
-  }
+  ByteReader in(data, len);
+  const uint64_t ncols = in.Count(in.U32());
   std::vector<ColumnDef> columns;
   columns.reserve(ncols);
-  for (uint32_t i = 0; i < ncols; ++i) {
-    uint32_t type = 0, name_len = 0;
-    if (!get_u32(&type) || !get_u32(&name_len) || pos + name_len > len) {
-      return Status::Corruption("schema blob truncated (column " +
-                                std::to_string(i) + ")");
-    }
-    columns.push_back(ColumnDef{
-        std::string(reinterpret_cast<const char*>(data + pos), name_len),
-        static_cast<DataType>(type)});
-    pos += name_len;
+  for (uint64_t i = 0; i < ncols && in.ok(); ++i) {
+    const auto type = static_cast<DataType>(in.U32());
+    columns.push_back(ColumnDef{in.Str(), type});
   }
+  if (!in.ok()) return Status::Corruption("schema blob truncated");
   return Schema::Make(std::move(columns));
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <variant>
 
+#include "common/byte_codec.h"
+
 namespace hyrise_nv::storage {
 
 /// Column data types supported by the engine.
@@ -22,6 +24,14 @@ using Value = std::variant<int64_t, double, std::string>;
 
 /// Whether `value`'s alternative matches `type`.
 bool ValueMatchesType(const Value& value, DataType type);
+
+/// The one encoding of a value, shared by log records and wire frames:
+/// [u8 tag = its DataType] then the 8-byte int64 or double, or the
+/// string as [u32 length][bytes].
+void EncodeValue(const Value& value, ByteWriter& out);
+/// Reads what EncodeValue wrote. A short buffer or an unknown tag
+/// latches `in`'s error and yields int64 0.
+Value DecodeValue(ByteReader& in);
 
 /// Dictionary value id within a partition. Ids index the partition's
 /// dictionary; main and delta dictionaries have independent id spaces.

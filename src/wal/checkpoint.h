@@ -16,9 +16,9 @@ struct CheckpointInfo {
   uint64_t log_offset = 0;  // replay starts here
   storage::Cid watermark = 0;
   uint64_t bytes = 0;  // checkpoint size on device
-  /// Indexes present at checkpoint time. The recovery driver re-creates
-  /// them — the rebuild is a real cost of log-based recovery that instant
-  /// restart avoids.
+  /// Indexes present at checkpoint time. Log recovery builds them again
+  /// once the log pass has appended every row — the rebuild is a real
+  /// cost of log-based recovery that instant restart avoids.
   struct IndexedColumn {
     std::string table;
     uint64_t column;

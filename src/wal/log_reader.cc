@@ -55,15 +55,4 @@ Status LogReader::AtBadFrame(size_t pos, const Status& status) const {
   return Status::OK();
 }
 
-Result<uint64_t> LogReader::ForEach(
-    uint64_t start_offset,
-    const std::function<Status(const LogRecord&)>& fn) {
-  HYRISE_NV_RETURN_NOT_OK(Load(start_offset));
-  return ForEachFrame([&](const LogFrame& frame) -> Status {
-    HYRISE_NV_ASSIGN_OR_RETURN(const LogRecord record,
-                               DecodeRecordBody(frame));
-    return fn(record);
-  });
-}
-
 }  // namespace hyrise_nv::wal

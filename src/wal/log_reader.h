@@ -2,7 +2,6 @@
 #define HYRISE_NV_WAL_LOG_READER_H_
 
 #include <cstring>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -30,11 +29,6 @@ class LogReader {
   template <typename Fn>
   Result<uint64_t> ForEachFrame(Fn&& fn);
 
-  /// Load plus one walk that decodes every record in full.
-  Result<uint64_t> ForEach(
-      uint64_t start_offset,
-      const std::function<Status(const LogRecord&)>& fn);
-
  private:
   /// The walk met an undecodable frame at `pos`: OK when it is the clean
   /// end or a torn tail (the walk stops there), Corruption when intact
@@ -61,9 +55,9 @@ Result<uint64_t> LogReader::ForEachFrame(Fn&& fn) {
     if (checked) {
       uint32_t body_len;
       std::memcpy(&body_len, data_.data() + pos + 4, 4);
-      frame.body = data_.data() + pos + 8;
+      frame.body = data_.data() + pos + kFrameHeaderBytes;
       frame.size = body_len;
-      framed = 8 + static_cast<size_t>(body_len);
+      framed = kFrameHeaderBytes + static_cast<size_t>(body_len);
     } else {
       auto decoded = DecodeFrame(data_.data() + pos, end - pos, &frame);
       if (!decoded.ok()) {

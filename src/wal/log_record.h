@@ -61,12 +61,11 @@ struct LogRecord {
                                uint32_t kind);
 };
 
-/// Appends a value in its binary wire form (type-tagged).
-void SerializeValue(const storage::Value& value, std::vector<uint8_t>* out);
-Result<storage::Value> DeserializeValue(const uint8_t* data, size_t len,
-                                        size_t* pos);
+/// Frame header bytes: [u32 masked crc32c of the body][u32 body length].
+constexpr size_t kFrameHeaderBytes = 8;
 
 /// Serialises the record payload + frame: [masked crc32c][u32 len][body].
+/// Values use the one tagged encoding (storage::EncodeValue).
 std::vector<uint8_t> EncodeRecord(const LogRecord& record);
 
 /// The body of one framed record.

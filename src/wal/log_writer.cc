@@ -65,6 +65,7 @@ Status LogWriter::Append(const LogRecord& record) {
   const std::vector<uint8_t> framed = EncodeRecord(record);
   std::lock_guard<std::mutex> guard(mutex_);
   buffer_.insert(buffer_.end(), framed.begin(), framed.end());
+  lsn_.fetch_add(framed.size(), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -81,12 +82,6 @@ Status LogWriter::FlushLocked() {
   }));
   buffer_.clear();
   return Status::OK();
-}
-
-Status LogWriter::Flush() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  group_cv_.wait(lock, [&] { return !leader_active_; });
-  return FlushLocked();
 }
 
 Status LogWriter::SyncDevice() {
@@ -120,6 +115,7 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
   const std::vector<uint8_t> framed = EncodeRecord(commit_record);
   std::unique_lock<std::mutex> lock(mutex_);
   buffer_.insert(buffer_.end(), framed.begin(), framed.end());
+  lsn_.fetch_add(framed.size(), std::memory_order_relaxed);
   const uint64_t my_seqno =
       total_commits_.fetch_add(1, std::memory_order_relaxed) + 1;
 
@@ -147,7 +143,6 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
       total_commits_.load(std::memory_order_relaxed);
   const uint64_t batch_low =
       synced_commits_.load(std::memory_order_relaxed);
-  in_flight_bytes_.store(batch.size(), std::memory_order_relaxed);
   lock.unlock();
 
   Status status = Status::OK();
@@ -180,7 +175,6 @@ Status LogWriter::Commit(const LogRecord& commit_record) {
     // nothing may follow it into the log.
     CutFailedBytes(batch_start);
   }
-  in_flight_bytes_.store(0, std::memory_order_relaxed);
   leader_active_ = false;
   lock.unlock();
   group_cv_.notify_all();
@@ -204,6 +198,8 @@ Status LogWriter::SyncNow() {
 }
 
 void LogWriter::CutFailedBytes(uint64_t start) {
+  // The cut bytes leave the count; records buffered behind them stay.
+  lsn_.store(start + buffer_.size(), std::memory_order_relaxed);
   Status status = device_->Truncate(start);
   if (!status.ok()) {
     HYRISE_NV_LOG(kError) << "wal: cutting failed bytes from the log failed ("

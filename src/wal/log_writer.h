@@ -33,7 +33,8 @@ namespace hyrise_nv::wal {
 /// again, so no reopen replays a commit reported as failed.
 class LogWriter {
  public:
-  explicit LogWriter(BlockDevice* device) : device_(device) {}
+  explicit LogWriter(BlockDevice* device)
+      : device_(device), lsn_(device->size()) {}
 
   /// Buffers a non-commit record.
   Status Append(const LogRecord& record);
@@ -43,18 +44,12 @@ class LogWriter {
   /// concurrent callers batch into shared fsyncs.
   Status Commit(const LogRecord& commit_record);
 
-  /// Writes the buffer to the device (no sync).
-  Status Flush();
-
   /// Flush + sync of everything buffered.
   Status SyncNow();
 
   /// Total bytes appended so far (including still-buffered ones and a
-  /// leader's in-flight batch).
-  uint64_t lsn() const {
-    return device_->size() + buffer_.size() +
-           in_flight_bytes_.load(std::memory_order_relaxed);
-  }
+  /// leader's in-flight batch). Safe from any thread.
+  uint64_t lsn() const { return lsn_.load(std::memory_order_relaxed); }
 
   /// Commit records handed to Commit() so far.
   uint64_t total_commits() const {
@@ -89,8 +84,8 @@ class LogWriter {
 
   /// Truncates the device back to `start` after a flush or sync failed
   /// for good: the commits in those bytes are reported as failed, so no
-  /// reopen may replay them. Same device-exclusivity requirement as
-  /// FlushLocked.
+  /// reopen may replay them. Caller must hold mutex_; same
+  /// device-exclusivity requirement as FlushLocked.
   void CutFailedBytes(uint64_t start);
 
   BlockDevice* device_;
@@ -98,9 +93,11 @@ class LogWriter {
   std::atomic<uint64_t> synced_commits_{0};
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> io_retries_{0};
-  /// Bytes swapped out of buffer_ by a group-commit leader and not yet
-  /// reflected in device_->size() (keeps lsn() monotone mid-batch).
-  std::atomic<uint64_t> in_flight_bytes_{0};
+  /// Device bytes plus buffered bytes, a leader's in-flight batch
+  /// included: raised where a record is buffered, set back where failed
+  /// bytes are cut. One atomic, so lsn() never reads buffer_ or the
+  /// device unlocked.
+  std::atomic<uint64_t> lsn_;
   std::vector<uint8_t> buffer_;
   std::mutex mutex_;
   /// Guarded by mutex_: true while a leader runs device I/O unlocked.

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "core/database.h"
 #include "core/query.h"
+#include "nvm/nvm_env.h"
 
 namespace hyrise_nv::core {
 namespace {
@@ -169,6 +172,49 @@ TEST(ConcurrencyTest, ParallelTidsAreUnique) {
     }
   }
   EXPECT_EQ(all.size(), size_t{kThreads} * kTxnsPerThread);
+}
+
+// The timeline samples the passive metrics (log bytes, heap use) every
+// millisecond while two writers append to the log and grow the heap. Run
+// under TSan, this is the race check for those reads: each must be an
+// atomic load, not a read of the writers' plain fields.
+TEST(ConcurrencyTest, PassiveMetricsSampleRacesNoWriter) {
+  DatabaseOptions options;
+  options.mode = DurabilityMode::kWalValue;
+  options.region_size = 64 << 20;
+  options.data_dir = nvm::TempPath("passive_metrics_race");
+  options.enable_timeline = true;
+  options.timeline_interval_ms = 1;
+  std::filesystem::create_directories(options.data_dir);
+  {
+    auto db = std::move(Database::Create(options)).ValueUnsafe();
+    storage::Table* tables[2] = {*db->CreateTable("a", KvSchema()),
+                                 *db->CreateTable("b", KvSchema())};
+    const auto stop =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(400);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (storage::Table* table : tables) {
+      writers.emplace_back([&, table] {
+        for (int64_t i = 0; std::chrono::steady_clock::now() < stop; ++i) {
+          if (!db->InsertAutoCommit(table, {Value(i), Value(std::string("w"))})
+                   .ok()) {
+            ++failures;
+            return;
+          }
+        }
+      });
+    }
+    for (auto& writer : writers) writer.join();
+    EXPECT_EQ(failures.load(), 0);
+#if HYRISE_NV_METRICS_ENABLED
+    EXPECT_EQ(db->MetricsSnapshot().CounterValue("wal.bytes.logged"),
+              db->log_manager()->device().size());
+#endif
+    EXPECT_TRUE(db->Close().ok());
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(options.data_dir, ec);
 }
 
 }  // namespace

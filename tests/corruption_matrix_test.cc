@@ -260,6 +260,28 @@ TEST_F(CorruptionMatrixTest, TableGroupOnFreeBlockDetected) {
   EXPECT_TRUE(report.HasStructure("table_meta")) << report.Summary();
 }
 
+TEST_F(CorruptionMatrixTest, SchemaColumnCountBeyondTheBlobIsAFinding) {
+  // The schema blob's column count set to 2^32 - 1: the image verifier
+  // (what dbinspect --verify=deep runs) reports it as a schema finding
+  // instead of sizing anything by the count.
+  // The blob starts 02 00 00 00 (two columns); XOR FD FF FF FF.
+  for (int byte = 0; byte < 4; ++byte) {
+    FlipBit(
+        [byte](Nav& nav) { return nav.FirstTable()->schema_off + byte; },
+        static_cast<uint8_t>(byte == 0 ? 0xFD : 0xFF));
+  }
+  core::DatabaseOptions options;
+  options.data_dir = nvm::TempPath("corruption_matrix_schema");
+  std::filesystem::create_directories(options.data_dir);
+  std::filesystem::copy_file(image_, options.NvmImagePath());
+  auto report = core::Database::VerifyImage(options);
+  std::error_code ec;
+  std::filesystem::remove_all(options.data_dir, ec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->HasStructure("schema")) << report->Summary();
+  EXPECT_FALSE(report->clean());
+}
+
 TEST_F(CorruptionMatrixTest, MainDictionaryContentFlipDetected) {
   FlipBit([](Nav& nav) {
     // Second dictionary entry of the int64 column's main partition.

@@ -260,6 +260,73 @@ TEST(WireFormatTest, CodecWritesTheHandWrittenBytes) {
   }
 }
 
+TEST(WireFormatTest, DmlFramesWriteThePinnedBytes) {
+  // The bytes deployed peers exchange for these requests; each value is
+  // [u8 tag: 1 int64, 2 double, 3 string] then 8 bytes or [u32 length]
+  // [bytes]. A change to the shared value encoding fails here.
+  const std::vector<Value> row = {Value(int64_t{-5}), Value(0.5),
+                                  Value(std::string("ab"))};
+  const std::vector<uint8_t> v1_insert = {
+      0x29, 0x00, 0x00, 0x00, 0xFB, 0x8D, 0xA9, 0xCE,  // len 41, crc
+      0x06,                                            // kInsert
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // tid 4
+      0x01, 0x00, 0x00, 0x00, 0x74,                    // table "t"
+      0x03, 0x00,                                      // 3 values
+      0x01, 0xFB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // int -5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // double 0.5
+      0x03, 0x02, 0x00, 0x00, 0x00, 0x61, 0x62};       // string "ab"
+  const std::vector<uint8_t> v2_batch = {
+      0x2F, 0x00, 0x00, 0x00, 0xA9, 0xBE, 0x1B, 0x7C,  // len 47, crc
+      0x07, 0x00, 0x00, 0x00,                          // tag 7
+      0x15,                                            // kDmlBatch
+      0x01, 0x00, 0x00, 0x00,                          // 1 op
+      0x02,                                            // update
+      0x01, 0x00, 0x00, 0x00, 0x74,                    // table "t"
+      0x01, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // main 258
+      0x03, 0x00,                                      // 3 values
+      0x01, 0xFB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // int -5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // double 0.5
+      0x03, 0x02, 0x00, 0x00, 0x00, 0x61, 0x62};       // string "ab"
+
+  std::vector<uint8_t> insert;
+  WireWriter insert_writer(&insert);
+  insert_writer.U8(static_cast<uint8_t>(Opcode::kInsert));
+  insert_writer.U64(4);
+  insert_writer.DmlBody(DmlOp::kInsert, "t", RowLocation{}, row);
+  EXPECT_EQ(EncodeFrame(1, 0, insert), v1_insert);
+
+  std::vector<uint8_t> batch;
+  WireWriter batch_writer(&batch);
+  batch_writer.U8(static_cast<uint8_t>(Opcode::kDmlBatch));
+  batch_writer.U32(1);
+  batch_writer.U8(DmlOp::kUpdate);
+  batch_writer.DmlBody(DmlOp::kUpdate, "t", RowLocation{true, 258}, row);
+  EXPECT_EQ(EncodeFrame(2, 7, batch), v2_batch);
+
+  FrameView frame;
+  ASSERT_TRUE(NextFrame(1, v1_insert.data(), v1_insert.size(), &frame).ok());
+  ASSERT_EQ(frame.consumed, v1_insert.size());
+  WireReader insert_reader(frame.payload, frame.len);
+  EXPECT_EQ(insert_reader.U8(), static_cast<uint8_t>(Opcode::kInsert));
+  EXPECT_EQ(insert_reader.U64(), 4u);
+  const DmlOp decoded_insert = insert_reader.DmlBody(DmlOp::kInsert);
+  EXPECT_TRUE(insert_reader.Exhausted());
+  EXPECT_EQ(decoded_insert.table, "t");
+  EXPECT_EQ(decoded_insert.row, row);
+
+  ASSERT_TRUE(NextFrame(2, v2_batch.data(), v2_batch.size(), &frame).ok());
+  ASSERT_EQ(frame.consumed, v2_batch.size());
+  EXPECT_EQ(frame.tag, 7u);
+  WireReader batch_reader(frame.payload, frame.len);
+  EXPECT_EQ(batch_reader.U8(), static_cast<uint8_t>(Opcode::kDmlBatch));
+  EXPECT_EQ(batch_reader.U32(), 1u);
+  const DmlOp decoded_update = batch_reader.BatchOp();
+  EXPECT_TRUE(batch_reader.Exhausted());
+  EXPECT_EQ(decoded_update.kind, DmlOp::kUpdate);
+  EXPECT_EQ(decoded_update.loc, (RowLocation{true, 258}));
+  EXPECT_EQ(decoded_update.row, row);
+}
+
 TEST(WireFormatTest, RowCountCannotOverallocate) {
   // A row header claiming 65535 values inside a 4-byte body must fail
   // cleanly instead of reserving gigabytes.

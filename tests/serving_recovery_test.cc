@@ -7,7 +7,7 @@
 // rows — and every tag whose commit was acked must have exactly 5.
 //
 // Forked with live threads, so skipped under TSan; the same build/crash
-// interleavings run in-process (TSan-clean) in recovery_driver_test.cc.
+// interleavings run in-process (TSan-clean) in on_demand_recovery_test.cc.
 
 #include <gtest/gtest.h>
 #include <signal.h>

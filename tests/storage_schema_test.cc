@@ -67,6 +67,32 @@ TEST(SchemaTest, SerializeRoundTrip) {
   EXPECT_EQ(*back, schema);
 }
 
+TEST(SchemaTest, SerializeWritesThePinnedBytes) {
+  // The blob the catalog stores in the NVM image and the log and the
+  // checkpoint carry: [u32 columns], then per column [u32 type]
+  // [u32 name length][name]. A change here breaks every existing image.
+  const std::vector<uint8_t> pinned = {
+      0x03, 0x00, 0x00, 0x00,                                // 3 columns
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,        // int64, 2
+      0x69, 0x64,                                            // "id"
+      0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,        // double, 5
+      0x70, 0x72, 0x69, 0x63, 0x65,                          // "price"
+      0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,        // string, 4
+      0x6E, 0x61, 0x6D, 0x65};                               // "name"
+  EXPECT_EQ(TestSchema().Serialize(), pinned);
+  auto back = Schema::Deserialize(pinned.data(), pinned.size());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, TestSchema());
+}
+
+TEST(SchemaTest, ColumnCountBeyondTheBlobIsCorruption) {
+  // 2^32 - 1 columns in a 4-byte blob: refused before anything is sized
+  // by the count.
+  const std::vector<uint8_t> blob = {0xFF, 0xFF, 0xFF, 0xFF};
+  auto result = Schema::Deserialize(blob.data(), blob.size());
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+}
+
 TEST(SchemaTest, DeserializeTruncatedFails) {
   const auto bytes = TestSchema().Serialize();
   for (size_t cut : {size_t{0}, size_t{2}, bytes.size() - 1}) {

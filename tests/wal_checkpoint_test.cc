@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
+#include "common/crc32.h"
 #include "nvm/nvm_env.h"
 #include "obs/metrics.h"
 #include "storage/merge.h"
@@ -153,6 +157,114 @@ TEST_F(CheckpointTest, LoadBuildsEachDictionaryTableOnce) {
     EXPECT_EQ(*again, id);
   }
   EXPECT_EQ(keys.Lookup(Value(int64_t{299})), 299u);
+}
+
+/// The checkpoint of table "alpha" (k int64, v string) holding (1, "x")
+/// and (2, "yz") committed at cid 5, watermark 5, log offset 99: the
+/// bytes existing checkpoint files hold for it. Layout: header
+/// [u64 magic][u32 version][u64 log offset][u64 watermark][u64 tid
+/// block][u64 cid block][u32 tables]; per table [str name][u64 id]
+/// [u64 schema length][schema][u32 indexes][u64 main rows], then per
+/// main column [u64 bits] and three vectors, the main MVCC vector, per
+/// delta column three vectors, the delta MVCC vector, each vector
+/// [u64 count][count elements]; last the masked CRC of all before it.
+const std::vector<uint8_t>& PinnedCheckpoint() {
+  static const std::vector<uint8_t> bytes = {
+    0x31, 0x4B, 0x50, 0x43, 0x56, 0x4E, 0x59, 0x48, 0x01, 0x00, 0x00,
+    0x00, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6C, 0x70,
+    0x68, 0x61, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x16,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6B, 0x03, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x76, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0B, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x78,
+    0x02, 0x00, 0x00, 0x00, 0x79, 0x7A, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x59, 0x62, 0x13, 0xAC};
+  return bytes;
+}
+
+/// Offset of the first vector count in PinnedCheckpoint(): the main
+/// dictionary of column k, 48 header bytes + 4 + 5 ("alpha") + 8 (id) +
+/// 8 + 22 (schema) + 4 (indexes) + 8 (main rows) + 8 (bits).
+constexpr size_t kPinnedFirstVectorCount = 115;
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  fclose(f);
+}
+
+TEST_F(CheckpointTest, OneTableWritesThePinnedBytes) {
+  storage::Table* t1 = MakeTable("alpha");
+  InsertCommitted(t1, 1, "x", 5);
+  InsertCommitted(t1, 2, "yz", 5);
+  source_commit_->AdvanceWatermark(5);
+  ASSERT_TRUE(WriteCheckpoint(path_, BlockDeviceOptions{},
+                              *source_catalog_, *source_commit_, 99)
+                  .ok());
+  auto device = std::move(BlockDevice::Open(path_, BlockDeviceOptions{}))
+                    .ValueUnsafe();
+  std::vector<uint8_t> written(device->size());
+  ASSERT_TRUE(device->Read(0, written.data(), written.size()).ok());
+  EXPECT_EQ(written, PinnedCheckpoint());
+
+  auto heap = MakeHeap();
+  auto catalog = std::move(storage::Catalog::Format(*heap)).ValueUnsafe();
+  auto commit = std::move(txn::CommitTable::Format(*heap)).ValueUnsafe();
+  auto info = LoadCheckpoint(path_, BlockDeviceOptions{}, *heap, *catalog,
+                             *commit);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->log_offset, 99u);
+  EXPECT_EQ(info->watermark, 5u);
+  storage::Table* loaded = *catalog->GetTable("alpha");
+  EXPECT_EQ(loaded->CountVisible(5, storage::kTidNone), 2u);
+  EXPECT_EQ(std::get<std::string>(loaded->GetValue({false, 1}, 1)), "yz");
+}
+
+TEST_F(CheckpointTest, WrappingVectorCountIsCorruption) {
+  // A vector count of 2^61 + 1 uint64 elements: times 8 it wraps to 8
+  // bytes, which are there. With the CRC recomputed, only the count
+  // check can refuse it.
+  std::vector<uint8_t> bytes = PinnedCheckpoint();
+  uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + kPinnedFirstVectorCount, 8);
+  ASSERT_EQ(count, 0u);  // the empty main dictionary
+  count = (uint64_t{1} << 61) + 1;
+  std::memcpy(bytes.data() + kPinnedFirstVectorCount, &count, 8);
+  const size_t content = bytes.size() - 4;
+  const uint32_t crc = MaskCrc(Crc32c(bytes.data(), content));
+  std::memcpy(bytes.data() + content, &crc, 4);
+  WriteFile(path_, bytes);
+
+  auto heap = MakeHeap();
+  auto catalog = std::move(storage::Catalog::Format(*heap)).ValueUnsafe();
+  auto commit = std::move(txn::CommitTable::Format(*heap)).ValueUnsafe();
+  auto info = LoadCheckpoint(path_, BlockDeviceOptions{}, *heap, *catalog,
+                             *commit);
+  EXPECT_TRUE(info.status().IsCorruption()) << info.status().ToString();
 }
 
 TEST_F(CheckpointTest, CorruptFileDetected) {
